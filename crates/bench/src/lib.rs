@@ -16,7 +16,8 @@
 //! | `fig8_index_build` | Fig. 8 — size & build time vs data length (DMatch vs KVM-DP) |
 //! | `fig9_scalability` | Fig. 9 — cNSM scalability (UCR vs KVM, ED & DTW) |
 //! | `fig10_dp_vs_basic` | Fig. 10 — KV-match_DP vs single-`w` KV-match |
-//! | `bench_report` | perf trajectory — batched executor vs sequential (`BENCH_exec.json`) |
+//! | `ablation_optimizations` | §VI-C optimizations in isolation (row cache, reorder by cost, partial windows) |
+//! | `backend_portability` | §VII-C — the same workload over the memory, file, sharded and LSM stores |
 //!
 //! Scale knobs (environment variables): `KVM_N` (series length),
 //! `KVM_QUERIES` (queries per point), `KVM_SEED`. The paper's selectivity
@@ -24,14 +25,8 @@
 
 pub mod calibrate;
 pub mod harness;
-pub mod kernels;
-pub mod netload;
-pub mod report;
 pub mod workload;
 
 pub use calibrate::{calibrate_epsilon, CalibrationTarget};
 pub use harness::{env_f64, env_usize, geo_mean, ExperimentEnv, Row, Table};
-pub use kernels::{run_kernels, KernelReport};
-pub use netload::{NetworkReport, NetworkRow, NETWORK_CONNECTION_COUNTS};
-pub use report::{run_report, BenchReport, ReportEnv, WorkloadReport};
 pub use workload::{make_series, sample_queries};

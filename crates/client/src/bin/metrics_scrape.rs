@@ -4,7 +4,7 @@
 //!
 //! Usage: `metrics_scrape [addr]` (default `127.0.0.1:7878`). Exits
 //! non-zero when the server is unreachable or answers with an error —
-//! the CI `obs-smoke` job pipes the output through format checks.
+//! the CI `benchmark` job pipes the output through format checks.
 
 use std::time::Duration;
 

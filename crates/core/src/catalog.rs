@@ -31,10 +31,8 @@
 //!
 //! [`CatalogBackend`] abstracts the substrate exactly like the paper's
 //! "any ordered store" claim: [`MemoryCatalogBackend`] (tests, small
-//! data), [`ShardedCatalogBackend`] (the simulated HBase cluster +
-//! 1024-point block data rows), and `LsmCatalogBackend` in the
-//! `kvmatch-lsm` crate (per-series sorted runs with size-tiered
-//! compaction + WAL-durable points).
+//! data) and `LsmCatalogBackend` in the `kvmatch-lsm` crate (per-series
+//! sorted runs with size-tiered compaction + WAL-durable points).
 //!
 //! Equivalence guarantee, enforced by randomized tests: a generational
 //! catalog answers every series' queries **bit-identically** to a
@@ -45,8 +43,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kvmatch_storage::{
-    BlockSeriesStore, KvStore, KvStoreBuilder, MemoryKvStore, MemorySeriesStore, SeriesId,
-    SeriesStore, ShardedKvStore, ShardedKvStoreBuilder, ShardingConfig,
+    KvStore, KvStoreBuilder, MemoryKvStore, MemorySeriesStore, SeriesId, SeriesStore,
 };
 
 use kvmatch_storage::memory::MemoryKvStoreBuilder;
@@ -212,42 +209,6 @@ impl CatalogBackend for MemoryCatalogBackend {
     }
 }
 
-/// Simulated-HBase backend: each generation's index rows
-/// range-partitioned over [`ShardedKvStore`] regions, data served from
-/// 1024-point [`BlockSeriesStore`] rows (§VII-B).
-#[derive(Clone, Debug)]
-pub struct ShardedCatalogBackend {
-    /// Cluster shape and modelled per-region scan latency.
-    pub sharding: ShardingConfig,
-    /// Data block size (the paper's default is 1024).
-    pub block: usize,
-}
-
-impl Default for ShardedCatalogBackend {
-    fn default() -> Self {
-        Self { sharding: ShardingConfig::default(), block: BlockSeriesStore::DEFAULT_BLOCK }
-    }
-}
-
-impl CatalogBackend for ShardedCatalogBackend {
-    type Store = ShardedKvStore;
-    type Data = BlockSeriesStore;
-
-    fn seal_generation(&mut self, input: GenerationInput<'_>) -> Result<Self::Store, CoreError> {
-        seal_with_builder(ShardedKvStoreBuilder::new(self.sharding.clone()), &input)
-    }
-
-    fn data_store(&mut self, _series: SeriesId, xs: &[f64]) -> Result<Self::Data, CoreError> {
-        Ok(BlockSeriesStore::from_series(xs, self.block))
-    }
-
-    fn shard_instance(&self) -> Option<Self> {
-        // The "cluster" is simulated per process: every shard can model
-        // its own region set with the same sharding configuration.
-        Some(self.clone())
-    }
-}
-
 /// One immutable, sealed state of one series: index store, opened index
 /// view, phase-2 data store, and the row cache warmed for exactly this
 /// row set. Readers hold these by `Arc`; nothing in here ever mutates
@@ -350,9 +311,7 @@ impl<B: CatalogBackend> CatalogSnapshot<B> {
 }
 
 /// A consistent, lock-free read surface over materialized series state —
-/// the one trait both read paths implement, so callers stop reaching for
-/// the deprecated shared-borrow entry points
-/// ([`Catalog::executor_shared`]/[`Catalog::execute_batch_shared`]):
+/// the one trait both read paths implement:
 ///
 /// * [`CatalogSnapshot`] — the pinned, immutable view a
 ///   [`Catalog::snapshot`] hands out;
@@ -697,15 +656,6 @@ impl<B: CatalogBackend> Catalog<B> {
     /// need, then drop it before appending again.
     pub fn executor(&mut self) -> Result<QueryExecutor<'_, Arc<B::Store>, B::Data>, CoreError> {
         self.materialize()?;
-        self.bind_shared_executor()
-    }
-
-    /// The shared-borrow executor binding behind [`Catalog::executor`]
-    /// and the deprecated [`Catalog::executor_shared`].
-    fn bind_shared_executor(&self) -> Result<QueryExecutor<'_, Arc<B::Store>, B::Data>, CoreError> {
-        if self.needs_materialize() {
-            return Err(CoreError::Unmaterialized);
-        }
         if self.entries.is_empty() {
             return Err(CoreError::InvalidQuery("catalog has no series".into()));
         }
@@ -721,37 +671,6 @@ impl<B: CatalogBackend> Catalog<B> {
             }),
             self.exec_config,
         )
-    }
-
-    /// Binds a batched executor over the **already-materialized** state
-    /// through a shared (`&self`) borrow — the legacy read path of
-    /// concurrent serving under an `RwLock` read guard. Fails with
-    /// [`CoreError::Unmaterialized`] when any series has appends no
-    /// snapshot has absorbed: the caller (not this method) must run
-    /// [`Catalog::materialize`] under its exclusive borrow first.
-    #[deprecated(
-        since = "0.10.0",
-        note = "pin Catalog::snapshot() and read through the ReadView trait — readers then \
-                never touch the catalog (or its lock) at all"
-    )]
-    pub fn executor_shared(&self) -> Result<QueryExecutor<'_, Arc<B::Store>, B::Data>, CoreError> {
-        self.bind_shared_executor()
-    }
-
-    /// One-shot shared-borrow convenience: bind a read-path executor and
-    /// run `specs`, as long as the catalog is materialized and no
-    /// appender runs concurrently — exactly what an `RwLock` read guard
-    /// provides.
-    #[deprecated(
-        since = "0.10.0",
-        note = "pin Catalog::snapshot() and call ReadView::execute — the snapshot needs no \
-                lock and keeps serving while the catalog ingests"
-    )]
-    pub fn execute_batch_shared(&self, specs: &[QuerySpec]) -> Result<BatchOutput, CoreError>
-    where
-        B::Data: Sync,
-    {
-        self.bind_shared_executor()?.execute_batch(specs)
     }
 
     /// One-shot convenience: materialize, bind an executor, run `specs`.
@@ -1052,86 +971,47 @@ mod tests {
     /// The tentpole equivalence guarantee: interleaved appends +
     /// incremental (delta-tracked) materializations answer queries
     /// bit-identically to a catalog built in one shot over the final
-    /// data — for both volatile backends.
+    /// data.
     #[test]
     fn generational_materialize_matches_full_rebuild() {
-        fn check<B: CatalogBackend + Clone>(backend: B)
-        where
-            B::Data: Sync,
-        {
-            let a = SeriesId::new(1);
-            let b = SeriesId::new(2);
-            let xa = seeded(91, 3_000);
-            let xb = seeded(92, 2_500);
+        let a = SeriesId::new(1);
+        let b = SeriesId::new(2);
+        let xa = seeded(91, 3_000);
+        let xb = seeded(92, 2_500);
 
-            let mut incremental = Catalog::new(backend.clone());
-            incremental.create_series(a, IndexBuildConfig::new(40)).unwrap();
-            incremental.create_series(b, IndexBuildConfig::new(40)).unwrap();
-            // Interleave uneven chunks with materializations so delta
-            // tracking, carry-forward and generation reuse all engage.
-            for (i, chunk) in xa.chunks(700).enumerate() {
-                incremental.append(a, chunk).unwrap();
-                if i % 2 == 0 {
-                    incremental.materialize().unwrap();
-                }
-            }
-            for chunk in xb.chunks(450) {
-                incremental.append(b, chunk).unwrap();
+        let mut incremental = Catalog::new(MemoryCatalogBackend);
+        incremental.create_series(a, IndexBuildConfig::new(40)).unwrap();
+        incremental.create_series(b, IndexBuildConfig::new(40)).unwrap();
+        // Interleave uneven chunks with materializations so delta
+        // tracking, carry-forward and generation reuse all engage.
+        for (i, chunk) in xa.chunks(700).enumerate() {
+            incremental.append(a, chunk).unwrap();
+            if i % 2 == 0 {
                 incremental.materialize().unwrap();
             }
+        }
+        for chunk in xb.chunks(450) {
+            incremental.append(b, chunk).unwrap();
             incremental.materialize().unwrap();
-
-            let mut oneshot = Catalog::new(backend);
-            oneshot.create_series_with(a, IndexBuildConfig::new(40), &xa).unwrap();
-            oneshot.create_series_with(b, IndexBuildConfig::new(40), &xb).unwrap();
-
-            let specs = vec![
-                QuerySpec::rsm_ed(xa[200..420].to_vec(), 8.0).with_series(a),
-                QuerySpec::rsm_dtw(xa[2_600..2_800].to_vec(), 4.0, 6).with_series(a),
-                QuerySpec::cnsm_ed(xb[900..1_100].to_vec(), 2.0, 1.5, 3.0).with_series(b),
-                QuerySpec::rsm_ed(xb[2_300..2_480].to_vec(), 1e-9).with_series(b),
-            ];
-            let from_incremental = incremental.execute_batch(&specs).unwrap();
-            let from_oneshot = oneshot.execute_batch(&specs).unwrap();
-            for (x, y) in from_incremental.outputs.iter().zip(&from_oneshot.outputs) {
-                assert_eq!(x.results, y.results, "generational answer diverged from full rebuild");
-            }
-            assert!(incremental.stats().generations_sealed > 2);
         }
-        check(MemoryCatalogBackend);
-        check(ShardedCatalogBackend {
-            sharding: ShardingConfig { regions: 3, latency_per_scan_ns: 0 },
-            block: 512,
-        });
-    }
+        incremental.materialize().unwrap();
 
-    #[test]
-    fn sharded_backend_matches_memory_backend() {
-        let data: Vec<Vec<f64>> = vec![seeded(31, 3_000), seeded(32, 2_500)];
-        let sid = [SeriesId::new(4), SeriesId::new(9)];
-        let mut mem = Catalog::new(MemoryCatalogBackend);
-        let mut sharded = Catalog::new(ShardedCatalogBackend {
-            sharding: ShardingConfig { regions: 5, latency_per_scan_ns: 1_000 },
-            block: 256,
-        });
-        for (id, xs) in sid.iter().zip(&data) {
-            mem.create_series_with(*id, IndexBuildConfig::new(40), xs).unwrap();
-            sharded.create_series_with(*id, IndexBuildConfig::new(40), xs).unwrap();
+        let mut oneshot = Catalog::new(MemoryCatalogBackend);
+        oneshot.create_series_with(a, IndexBuildConfig::new(40), &xa).unwrap();
+        oneshot.create_series_with(b, IndexBuildConfig::new(40), &xb).unwrap();
+
+        let specs = vec![
+            QuerySpec::rsm_ed(xa[200..420].to_vec(), 8.0).with_series(a),
+            QuerySpec::rsm_dtw(xa[2_600..2_800].to_vec(), 4.0, 6).with_series(a),
+            QuerySpec::cnsm_ed(xb[900..1_100].to_vec(), 2.0, 1.5, 3.0).with_series(b),
+            QuerySpec::rsm_ed(xb[2_300..2_480].to_vec(), 1e-9).with_series(b),
+        ];
+        let from_incremental = incremental.execute_batch(&specs).unwrap();
+        let from_oneshot = oneshot.execute_batch(&specs).unwrap();
+        for (x, y) in from_incremental.outputs.iter().zip(&from_oneshot.outputs) {
+            assert_eq!(x.results, y.results, "generational answer diverged from full rebuild");
         }
-        let specs: Vec<QuerySpec> = sid
-            .iter()
-            .zip(&data)
-            .map(|(id, xs)| QuerySpec::rsm_dtw(xs[700..900].to_vec(), 4.0, 6).with_series(*id))
-            .collect();
-        let from_mem = mem.execute_batch(&specs).unwrap();
-        let from_sharded = sharded.execute_batch(&specs).unwrap();
-        for (x, y) in from_mem.outputs.iter().zip(&from_sharded.outputs) {
-            assert_eq!(x.results, y.results, "backends must agree bit-identically");
-        }
-        // Each sealed generation really is a range-partitioned store.
-        let store = sharded.store(sid[0]).unwrap();
-        assert!(store.row_count() > 0);
-        assert_eq!(store.region_row_counts().len(), 5);
+        assert!(incremental.stats().generations_sealed > 2);
     }
 
     #[test]
@@ -1154,47 +1034,26 @@ mod tests {
         assert!(empty.is_empty());
     }
 
-    /// The legacy read path: a materialized catalog answers through
-    /// `&self` (concurrently), and refuses while appends are pending.
-    /// Deprecated in favor of [`ReadView`] over a pinned snapshot, but
-    /// the contract holds as long as the entry points exist.
-    #[allow(deprecated)]
+    /// Readers share one pinned snapshot: concurrent batches through
+    /// [`ReadView`] agree with the exclusive-borrow path.
     #[test]
-    fn shared_executor_serves_materialized_state_only() {
+    fn concurrent_snapshot_readers_get_the_exclusive_path_answer() {
         let mut cat = Catalog::new(MemoryCatalogBackend);
         let id = SeriesId::new(1);
         let xs = seeded(71, 4_000);
         cat.create_series_with(id, IndexBuildConfig::new(50), &xs).unwrap();
         let spec = QuerySpec::rsm_ed(xs[300..550].to_vec(), 7.0).with_series(id);
-
-        // Dirty catalog: the shared borrow must refuse, not materialize.
-        assert!(matches!(
-            cat.execute_batch_shared(std::slice::from_ref(&spec)),
-            Err(CoreError::Unmaterialized)
-        ));
-        cat.materialize().unwrap();
-
-        // Clean catalog: &self batches from many threads agree with the
-        // exclusive-borrow path.
         let want =
             cat.execute_batch(std::slice::from_ref(&spec)).unwrap().outputs[0].results.clone();
-        let cat_ref = &cat;
+        let snapshot = cat.snapshot().unwrap();
         std::thread::scope(|scope| {
             for _ in 0..3 {
-                let spec = spec.clone();
-                let want = want.clone();
-                scope.spawn(move || {
-                    let batch = cat_ref.execute_batch_shared(std::slice::from_ref(&spec)).unwrap();
+                scope.spawn(|| {
+                    let batch = through_read_view(&*snapshot, std::slice::from_ref(&spec));
                     assert_eq!(batch.outputs[0].results, want);
                 });
             }
         });
-
-        // A new append dirties the read path again until materialized.
-        cat.append(id, &seeded(72, 200)).unwrap();
-        assert!(matches!(cat.executor_shared(), Err(CoreError::Unmaterialized)));
-        cat.materialize().unwrap();
-        assert!(cat.executor_shared().is_ok());
     }
 
     #[test]

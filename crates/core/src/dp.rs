@@ -14,8 +14,7 @@ use kvmatch_storage::{KvStore, KvStoreBuilder, SeriesStore};
 use crate::build::IndexBuildConfig;
 use crate::cache::RowCache;
 use crate::index::KvIndex;
-use crate::interval::IntervalSet;
-use crate::matcher::{verify_candidates, PreparedQuery};
+use crate::matcher::{candidate_set, verify_candidates, PreparedQuery};
 use crate::query::{CoreError, MatchResult, MatchStats, QuerySpec};
 
 /// Configuration of the index set.
@@ -332,28 +331,12 @@ impl<'a, S: KvStore, D: SeriesStore> DpMatcher<'a, S, D> {
         }
         let limit = self.options.max_windows.unwrap_or(segments.len()).max(1);
 
-        let mut cs: Option<IntervalSet> = None;
-        for &si in order.iter().take(limit) {
+        let windows = order.iter().take(limit).map(|&si| {
             let seg = segments[si];
             let idx = self.multi.index_for(seg.window).expect("segment windows come from Σ");
-            let range = prep.window_range(seg.offset, seg.window);
-            let (is, info) = match self.row_cache {
-                Some(cache) => idx.probe_cached(range.lower, range.upper, cache)?,
-                None => idx.probe(range.lower, range.upper)?,
-            };
-            stats.absorb_probe(&info);
-            let csi = is.shift_left(seg.offset as u64);
-            cs = Some(match cs {
-                None => csi,
-                Some(prev) => prev.intersect(&csi),
-            });
-            if cs.as_ref().expect("just set").is_empty() {
-                break;
-            }
-        }
-        let cs = cs.expect("segmentation yields ≥ 1 window").clamp_max((n - prep.m) as u64);
-        stats.candidates = cs.num_positions();
-        stats.candidate_intervals = cs.num_intervals() as u64;
+            (idx, seg.offset, seg.window)
+        });
+        let cs = candidate_set(&prep, windows, self.row_cache, n, &mut stats)?;
         stats.phase1_nanos = t1.elapsed().as_nanos() as u64;
 
         let t2 = Instant::now();

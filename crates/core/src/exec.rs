@@ -35,7 +35,7 @@
 //! order; per-query statistics report the same candidate counts as
 //! sequential execution, while [`BatchStats`] carries the batch-level
 //! numbers and [`BatchOutput::per_series`] the per-series split (wall
-//! time, probe sharing, matches) the bench report publishes.
+//! time, probe sharing, matches).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,7 +50,7 @@ use parking_lot::Mutex;
 use crate::cache::{RowCache, RowCacheStats};
 use crate::index::KvIndex;
 use crate::interval::{IntervalSet, WindowInterval};
-use crate::matcher::{verify_interval, PreparedQuery};
+use crate::matcher::{candidate_set, verify_interval, PreparedQuery};
 use crate::query::{select_top_k, CoreError, MatchResult, MatchStats, QuerySpec};
 
 /// Tuning knobs for a [`QueryExecutor`].
@@ -125,7 +125,7 @@ pub struct BatchStats {
     pub row_cache: RowCacheStats,
 }
 
-/// One series' share of a batch — the split the bench report publishes.
+/// One series' share of a batch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SeriesBatchStats {
     /// The series.
@@ -340,31 +340,12 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
             if m > n {
                 continue; // no window fits; empty candidate set
             }
-            let p = m / w;
-            let mut cs: Option<IntervalSet> = None;
-            for i in 0..p {
-                let range = plan.prep.window_range(i * w, w);
-                let (is, info) =
-                    target.index.probe_cached(range.lower, range.upper, &target.cache)?;
-                plan.stats.absorb_probe(&info);
-                plan.probes += 1;
-                batch.probes += 1;
-                batch.store_scans += info.scans;
-                if info.is_cache_hit() {
-                    batch.probe_cache_hits += 1;
-                }
-                let csi = is.shift_left((i * w) as u64);
-                cs = Some(match cs {
-                    None => csi,
-                    Some(prev) => prev.intersect(&csi),
-                });
-                if cs.as_ref().expect("just set").is_empty() {
-                    break;
-                }
-            }
-            plan.cs = cs.expect("p ≥ 1 because m ≥ w").clamp_max((n - m) as u64);
-            plan.stats.candidates = plan.cs.num_positions();
-            plan.stats.candidate_intervals = plan.cs.num_intervals() as u64;
+            let windows =
+                (0..m / w).map(|i| (target.index, i * w, w)).inspect(|_| plan.probes += 1);
+            plan.cs = candidate_set(&plan.prep, windows, Some(&target.cache), n, &mut plan.stats)?;
+            batch.probes += plan.probes;
+            batch.store_scans += plan.stats.index_accesses;
+            batch.probe_cache_hits += plan.stats.probe_cache_hits;
             plan.stats.phase1_nanos = t1.elapsed().as_nanos() as u64;
         }
         batch.probe_nanos = t_probe.elapsed().as_nanos() as u64;

@@ -72,7 +72,6 @@ pub use cache::{RowCache, RowCacheStats};
 pub use catalog::{
     seal_with_builder, BackendMaintenanceStats, Catalog, CatalogBackend, CatalogSnapshot,
     CatalogStats, GenerationInput, MemoryCatalogBackend, ReadView, SeriesGeneration,
-    ShardedCatalogBackend,
 };
 pub use dp::{DpMatcher, DpOptions, IndexSetConfig, MultiIndex, Segment};
 pub use exec::{

@@ -428,6 +428,46 @@ pub(crate) fn verify_candidates<D: SeriesStore>(
     Ok(results)
 }
 
+/// Algorithm 1, lines 2–12 — the one phase-1 loop behind [`KvMatcher`],
+/// KV-match_DP and the batched executor. Each segment is an
+/// `(index, query offset, window width)` triple, probed in the order
+/// given: scan the index over the window's lemma range, left-shift the
+/// returned interval set by the window's query offset and intersect it
+/// into the running candidate set, stopping as soon as that set is empty.
+/// `segments` is pulled lazily, so the items a caller sees consumed are
+/// the probes issued. Probe accounting and the final candidate counts
+/// land in `stats`; `n` is the series length and must be at least
+/// `prep.m`.
+pub(crate) fn candidate_set<'i, S: KvStore + 'i>(
+    prep: &PreparedQuery,
+    segments: impl IntoIterator<Item = (&'i KvIndex<S>, usize, usize)>,
+    cache: Option<&RowCache>,
+    n: usize,
+    stats: &mut MatchStats,
+) -> Result<IntervalSet, CoreError> {
+    let mut cs: Option<IntervalSet> = None;
+    for (index, offset, w) in segments {
+        let range = prep.window_range(offset, w);
+        let (is, info) = match cache {
+            Some(cache) => index.probe_cached(range.lower, range.upper, cache)?,
+            None => index.probe(range.lower, range.upper)?,
+        };
+        stats.absorb_probe(&info);
+        let csi = is.shift_left(offset as u64);
+        cs = Some(match cs {
+            None => csi,
+            Some(prev) => prev.intersect(&csi),
+        });
+        if cs.as_ref().expect("just set").is_empty() {
+            break;
+        }
+    }
+    let cs = cs.expect("a query has at least one window").clamp_max((n - prep.m) as u64);
+    stats.candidates = cs.num_positions();
+    stats.candidate_intervals = cs.num_intervals() as u64;
+    Ok(cs)
+}
+
 /// The basic fixed-window KV-match matcher.
 pub struct KvMatcher<'a, S: KvStore, D: SeriesStore> {
     index: &'a KvIndex<S>,
@@ -485,6 +525,7 @@ impl<'a, S: KvStore, D: SeriesStore> KvMatcher<'a, S, D> {
         let p = m / w;
         let max_start = (n - m) as u64;
         let mut sets = Vec::with_capacity(p);
+        // Not `candidate_set`: every window is probed and each `CS_i` kept.
         for i in 0..p {
             let range = prep.window_range(i * w, w);
             let (is, _) = self.probe(range.lower, range.upper)?;
@@ -514,24 +555,8 @@ impl<'a, S: KvStore, D: SeriesStore> KvMatcher<'a, S, D> {
 
         // Phase 1: index probing (Lines 2–12).
         let t1 = Instant::now();
-        let p = m / w;
-        let mut cs: Option<IntervalSet> = None;
-        for i in 0..p {
-            let range = prep.window_range(i * w, w);
-            let (is, info) = self.probe(range.lower, range.upper)?;
-            stats.absorb_probe(&info);
-            let csi = is.shift_left((i * w) as u64);
-            cs = Some(match cs {
-                None => csi,
-                Some(prev) => prev.intersect(&csi),
-            });
-            if cs.as_ref().expect("just set").is_empty() {
-                break;
-            }
-        }
-        let cs = cs.expect("p ≥ 1 because m ≥ w").clamp_max((n - m) as u64);
-        stats.candidates = cs.num_positions();
-        stats.candidate_intervals = cs.num_intervals() as u64;
+        let windows = (0..m / w).map(|i| (self.index, i * w, w));
+        let cs = candidate_set(&prep, windows, self.row_cache, n, &mut stats)?;
         stats.phase1_nanos = t1.elapsed().as_nanos() as u64;
 
         // Phase 2: verification (Lines 13–18).

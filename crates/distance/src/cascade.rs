@@ -14,7 +14,7 @@
 //! than the previous one. [`LbCascade`] packages the query, its Keogh
 //! envelope and the band radius so call sites stop re-implementing the
 //! chain, and [`CascadeStats`] records where each candidate died — the
-//! per-stage pruning numbers the bench reporter publishes.
+//! per-stage pruning numbers `MatchStats` and EXPLAIN report.
 //!
 //! On stage ordering: `LB_Kim-FL` uses the *exact* first/last point costs
 //! (every banded warping path must pay them), while `LB_Keogh` measures

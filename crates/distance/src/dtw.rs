@@ -157,7 +157,7 @@ pub(crate) fn banded_core<F: Fn(f64, f64) -> f64>(
 /// The pre-optimization scalar kernel: per-cell boundary branches inside
 /// the band loop, DP rows allocated per call. Retained as the
 /// bit-identity oracle for [`dtw_banded_early_abandon_scratch`] and as
-/// the bench reporter's old-vs-new baseline.
+/// the old-vs-new baseline of `benches/distance_kernels.rs`.
 #[allow(clippy::needless_range_loop)] // band-relative indexing reads clearer with explicit i/j
 pub fn dtw_banded_early_abandon_scalar(
     a: &[f64],

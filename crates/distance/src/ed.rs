@@ -61,7 +61,8 @@ pub fn ed_early_abandon(a: &[f64], b: &[f64], threshold_sq: f64) -> Option<f64> 
 }
 
 /// The pre-optimization per-element-check ED kernel, retained as the
-/// bit-identity oracle and the bench reporter's old-vs-new baseline.
+/// bit-identity oracle and the old-vs-new baseline of
+/// `benches/distance_kernels.rs`.
 #[inline]
 pub fn ed_early_abandon_scalar(a: &[f64], b: &[f64], threshold_sq: f64) -> Option<f64> {
     debug_assert_eq!(a.len(), b.len());
@@ -135,8 +136,8 @@ pub fn ed_norm_early_abandon(
 }
 
 /// The pre-optimization per-element-check normalize-on-the-fly ED kernel,
-/// retained as the bit-identity oracle and the bench reporter's old-vs-new
-/// baseline.
+/// retained as the bit-identity oracle and the old-vs-new baseline of
+/// `benches/distance_kernels.rs`.
 #[inline]
 pub fn ed_norm_early_abandon_scalar(
     s: &[f64],

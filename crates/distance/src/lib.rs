@@ -34,8 +34,8 @@
 //! pre-optimization scalar twins (`*_scalar`), which are kept as
 //! **bit-identity oracles**: the property suite asserts
 //! `optimized(x).map(f64::to_bits) == scalar(x).map(f64::to_bits)` across
-//! random inputs, and the bench reporter times old vs. new from the same
-//! exports.
+//! random inputs, and `benches/distance_kernels.rs` times old vs. new from
+//! the same exports.
 
 pub mod cascade;
 pub mod dtw;

@@ -88,7 +88,7 @@ pub fn lb_keogh_sq_early_abandon(
 
 /// The pre-optimization scalar LB_Keogh (branchy per-element cases and a
 /// per-element threshold check). Retained as the bit-identity oracle and
-/// the bench reporter's old-vs-new baseline.
+/// the old-vs-new baseline of `benches/distance_kernels.rs`.
 #[inline]
 pub fn lb_keogh_sq_early_abandon_scalar(
     s: &[f64],

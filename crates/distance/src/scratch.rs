@@ -13,8 +13,7 @@
 //! * Buffers only ever **grow**: once a buffer's capacity covers the
 //!   largest `(m, ρ)` seen, no kernel call allocates again. Each growth
 //!   is counted in [`KernelScratch::alloc_events`], which is how the
-//!   zero-allocation tests (and the bench report's `alloc_events_warm`
-//!   field) prove the steady state is allocation-free.
+//!   zero-allocation tests prove the steady state is allocation-free.
 //! * Contents are *undefined between calls*: every kernel fully
 //!   initializes the region it reads. Callers must never assume a
 //!   buffer retains values from a previous candidate.

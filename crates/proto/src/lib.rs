@@ -21,17 +21,9 @@
 //!   any allocation happens, and encoders refuse to *produce* such frames
 //!   ([`ProtoError::FrameTooLarge`]) so an oversized message surfaces as a
 //!   typed error on the sending side instead of a connection teardown.
-//! * `version` is any value in `MIN_VERSION..=VERSION`. Decoders reject
-//!   other values with [`ProtoError::UnknownVersion`] so a server can
-//!   answer an incompatible client with [`code::UNSUPPORTED_VERSION`]
-//!   instead of misparsing it. Version 2 adds the `explain` flag on query
-//!   specs, six extra [`MatchStats`] counters, the optional
-//!   [`ExplainReport`] response tail and the `MetricsText` opcode pair;
-//!   version 3 adds the rejecting shard id to [`WireRejected`], so
-//!   clients of a sharded service can reason about per-shard
-//!   backpressure. Every older frame decodes exactly as before, and a
-//!   server echoes each response in the version the request arrived in,
-//!   so v1/v2 peers never see newer bytes.
+//! * `version` is [`VERSION`]. Decoders reject every other value with
+//!   [`ProtoError::UnknownVersion`] so a server can answer an incompatible
+//!   client with [`code::UNSUPPORTED_VERSION`] instead of misparsing it.
 //! * `opcode` selects the [`Request`] or [`Response`] variant (request
 //!   opcodes have the high bit clear, response opcodes have it set).
 //! * `request_id` is chosen by the client and echoed verbatim in the
@@ -41,8 +33,9 @@
 //!   ([`ProtoError::ReservedRequestId`]).
 //!
 //! All integers are little-endian; `f64` travels as `to_bits()` so values
-//! round-trip bit-identically (NaN payloads included) — the bench harness
-//! leans on this to prove socket answers equal in-process answers.
+//! round-trip bit-identically (NaN payloads included) — `benchmark/` and
+//! the socket tests lean on this to prove socket answers equal in-process
+//! answers.
 //!
 //! Decoding is total: any byte sequence either parses or yields a typed
 //! [`ProtoError`]. The decoder never panics and never allocates more than
@@ -55,14 +48,12 @@ use kvmatch_core::{Constraint, CoreError, MatchResult, MatchStats, Measure, Quer
 use kvmatch_distance::LpExponent;
 pub use kvmatch_obs::{ExplainReport, SpanRecord};
 
-/// Newest protocol version this crate encodes and accepts (the default
-/// for [`Request::encode`] / [`Response::encode`]).
+/// The protocol version this crate encodes and accepts.
 pub const VERSION: u8 = 3;
 
-/// Oldest protocol version still accepted. Frames between
-/// [`MIN_VERSION`] and [`VERSION`] (inclusive) decode; a server answers
-/// each request in the version it arrived in.
-pub const MIN_VERSION: u8 = 1;
+/// Oldest protocol version accepted — equal to [`VERSION`]: no peer of an
+/// older version exists, so there is one wire layout.
+pub const MIN_VERSION: u8 = VERSION;
 
 /// Upper bound on `payload_len` (64 MiB). A length prefix beyond this is
 /// rejected as [`ProtoError::FrameTooLarge`] before any buffer is reserved,
@@ -115,13 +106,13 @@ mod opcode {
     pub const REQ_METRICS: u8 = 0x03;
     pub const REQ_PING: u8 = 0x04;
     pub const REQ_SHUTDOWN: u8 = 0x05;
-    pub const REQ_METRICS_TEXT: u8 = 0x06; // v2+
+    pub const REQ_METRICS_TEXT: u8 = 0x06;
     pub const RESP_QUERY: u8 = 0x81;
     pub const RESP_APPENDED: u8 = 0x82;
     pub const RESP_METRICS: u8 = 0x83;
     pub const RESP_PONG: u8 = 0x84;
     pub const RESP_SHUTDOWN: u8 = 0x85;
-    pub const RESP_METRICS_TEXT: u8 = 0x86; // v2+
+    pub const RESP_METRICS_TEXT: u8 = 0x86;
     pub const RESP_ERROR: u8 = 0xFF;
 }
 
@@ -148,7 +139,7 @@ pub enum Request {
     /// Fetch a serving + network metrics snapshot.
     Metrics,
     /// Fetch the full Prometheus-style text exposition (every registered
-    /// metric plus the slow-query log). Protocol v2+.
+    /// metric plus the slow-query log).
     MetricsText,
     /// Liveness probe.
     Ping,
@@ -168,15 +159,14 @@ pub enum Response {
         /// Submit→response latency measured inside the service, µs.
         latency_us: u64,
         /// The structured trace, present iff the request's spec set
-        /// `explain`. Only protocol v2 can carry it — a v1 encode drops
-        /// the tail (a v1 peer cannot have requested it).
+        /// `explain`.
         explain: Option<Box<ExplainReport>>,
     },
     /// The append was applied.
     Appended,
     /// Metrics snapshot.
     Metrics(WireMetrics),
-    /// Prometheus-style text exposition. Protocol v2+.
+    /// Prometheus-style text exposition.
     MetricsText(String),
     /// Answer to [`Request::Ping`].
     Pong,
@@ -208,9 +198,7 @@ pub struct WireRejected {
     pub capacity: u64,
     /// Queue depth observed at rejection time.
     pub depth: u64,
-    /// The rejecting shard's id (v3+ on the wire; decodes as 0 from
-    /// older peers, which is also the only shard a pre-sharding service
-    /// had).
+    /// The rejecting shard's id.
     pub shard: u64,
 }
 
@@ -340,7 +328,7 @@ pub enum ProtoError {
     Truncated,
     /// The length prefix exceeds [`MAX_FRAME`].
     FrameTooLarge(u32),
-    /// The version byte is outside `MIN_VERSION..=VERSION`.
+    /// The version byte is not [`VERSION`].
     UnknownVersion(u8),
     /// The opcode byte is not a known request/response opcode.
     UnknownOpcode(u8),
@@ -364,7 +352,7 @@ impl fmt::Display for ProtoError {
                 write!(f, "declared payload of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})")
             }
             ProtoError::UnknownVersion(v) => {
-                write!(f, "unknown protocol version {v} (supported: {MIN_VERSION}..={VERSION})")
+                write!(f, "unknown protocol version {v} (supported: {VERSION})")
             }
             ProtoError::UnknownOpcode(op) => write!(f, "unknown opcode 0x{op:02x}"),
             ProtoError::Malformed(msg) => write!(f, "malformed frame: {msg}"),
@@ -444,7 +432,7 @@ fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-fn put_spec(buf: &mut Vec<u8>, spec: &QuerySpec, version: u8) {
+fn put_spec(buf: &mut Vec<u8>, spec: &QuerySpec) {
     put_u64(buf, spec.series.raw());
     put_f64s(buf, &spec.query);
     put_f64(buf, spec.epsilon);
@@ -474,14 +462,10 @@ fn put_spec(buf: &mut Vec<u8>, spec: &QuerySpec, version: u8) {
         }
     }
     put_opt_u64(buf, spec.limit.map(|k| k as u64));
-    if version >= 2 {
-        // v1 has no explain flag; a v1 peer's queries decode to
-        // explain = false.
-        buf.push(spec.explain as u8);
-    }
+    buf.push(spec.explain as u8);
 }
 
-fn put_stats(buf: &mut Vec<u8>, s: &MatchStats, version: u8) {
+fn put_stats(buf: &mut Vec<u8>, s: &MatchStats) {
     for v in [
         s.candidates,
         s.candidate_intervals,
@@ -499,20 +483,14 @@ fn put_stats(buf: &mut Vec<u8>, s: &MatchStats, version: u8) {
         s.matches,
         s.phase1_nanos,
         s.phase2_nanos,
+        s.lb_kim_nanos,
+        s.lb_keogh_nanos,
+        s.dtw_nanos,
+        s.alloc_events,
+        s.adaptive_skipped_lb_kim,
+        s.adaptive_skipped_lb_keogh,
     ] {
         put_u64(buf, v);
-    }
-    if version >= 2 {
-        for v in [
-            s.lb_kim_nanos,
-            s.lb_keogh_nanos,
-            s.dtw_nanos,
-            s.alloc_events,
-            s.adaptive_skipped_lb_kim,
-            s.adaptive_skipped_lb_keogh,
-        ] {
-            put_u64(buf, v);
-        }
     }
 }
 
@@ -573,7 +551,7 @@ fn put_metrics(buf: &mut Vec<u8>, m: &WireMetrics) {
 /// cast above: a sequence long enough to wrap a `u32` count is orders of
 /// magnitude past [`MAX_FRAME`] in bytes, and the frame errors here
 /// before the truncated count could ever reach a peer.
-fn frame(version: u8, opcode: u8, request_id: u64, body: Vec<u8>) -> Result<Vec<u8>, ProtoError> {
+fn frame(opcode: u8, request_id: u64, body: Vec<u8>) -> Result<Vec<u8>, ProtoError> {
     let payload_len = 1 + 1 + 8 + body.len();
     if payload_len > MAX_FRAME as usize {
         let reported = u32::try_from(payload_len).unwrap_or(u32::MAX);
@@ -581,7 +559,7 @@ fn frame(version: u8, opcode: u8, request_id: u64, body: Vec<u8>) -> Result<Vec<
     }
     let mut out = Vec::with_capacity(4 + payload_len);
     put_u32(&mut out, payload_len as u32);
-    out.push(version);
+    out.push(VERSION);
     out.push(opcode);
     put_u64(&mut out, request_id);
     out.extend_from_slice(&body);
@@ -589,7 +567,7 @@ fn frame(version: u8, opcode: u8, request_id: u64, body: Vec<u8>) -> Result<Vec<
 }
 
 fn check_version(version: u8) -> Result<(), ProtoError> {
-    if (MIN_VERSION..=VERSION).contains(&version) {
+    if version == VERSION {
         Ok(())
     } else {
         Err(ProtoError::UnknownVersion(version))
@@ -604,22 +582,13 @@ impl Request {
     /// and with [`ProtoError::ReservedRequestId`] for request id 0 —
     /// that id is reserved for connection-scoped server error frames.
     pub fn encode(&self, request_id: u64) -> Result<Vec<u8>, ProtoError> {
-        self.encode_v(request_id, VERSION)
-    }
-
-    /// [`Request::encode`] at an explicit protocol version (for talking
-    /// to older peers). Version-2 message types fail as
-    /// [`ProtoError::Malformed`] at version 1 — an old peer would answer
-    /// them with an unknown-opcode error anyway.
-    pub fn encode_v(&self, request_id: u64, version: u8) -> Result<Vec<u8>, ProtoError> {
-        check_version(version)?;
         if request_id == 0 {
             return Err(ProtoError::ReservedRequestId);
         }
         let mut body = Vec::new();
         let op = match self {
             Request::Query { spec, deadline_us } => {
-                put_spec(&mut body, spec, version);
+                put_spec(&mut body, spec);
                 put_opt_u64(&mut body, *deadline_us);
                 opcode::REQ_QUERY
             }
@@ -629,18 +598,11 @@ impl Request {
                 opcode::REQ_APPEND
             }
             Request::Metrics => opcode::REQ_METRICS,
-            Request::MetricsText => {
-                if version < 2 {
-                    return Err(ProtoError::Malformed(
-                        "MetricsText requires protocol version 2".into(),
-                    ));
-                }
-                opcode::REQ_METRICS_TEXT
-            }
+            Request::MetricsText => opcode::REQ_METRICS_TEXT,
             Request::Ping => opcode::REQ_PING,
             Request::Shutdown => opcode::REQ_SHUTDOWN,
         };
-        frame(version, op, request_id, body)
+        frame(op, request_id, body)
     }
 }
 
@@ -652,16 +614,6 @@ impl Response {
     /// replaced by an error frame, not sent to a peer that will reject it.
     /// Request id 0 is legal here: it tags connection-scoped error frames.
     pub fn encode(&self, request_id: u64) -> Result<Vec<u8>, ProtoError> {
-        self.encode_v(request_id, VERSION)
-    }
-
-    /// [`Response::encode`] at an explicit protocol version — the server
-    /// answers each request in the version it arrived in, so v1 peers
-    /// never see v2 bytes. At version 1 the query response omits the v2
-    /// stats counters and the explain tail (a v1 peer cannot have asked
-    /// for them), and `MetricsText` fails as [`ProtoError::Malformed`].
-    pub fn encode_v(&self, request_id: u64, version: u8) -> Result<Vec<u8>, ProtoError> {
-        check_version(version)?;
         let mut body = Vec::new();
         let op = match self {
             Response::Query { results, stats, latency_us, explain } => {
@@ -670,15 +622,13 @@ impl Response {
                     put_u64(&mut body, r.offset as u64);
                     put_f64(&mut body, r.distance);
                 }
-                put_stats(&mut body, stats, version);
+                put_stats(&mut body, stats);
                 put_u64(&mut body, *latency_us);
-                if version >= 2 {
-                    match explain {
-                        None => body.push(0),
-                        Some(report) => {
-                            body.push(1);
-                            put_explain(&mut body, report);
-                        }
+                match explain {
+                    None => body.push(0),
+                    Some(report) => {
+                        body.push(1);
+                        put_explain(&mut body, report);
                     }
                 }
                 opcode::RESP_QUERY
@@ -689,11 +639,6 @@ impl Response {
                 opcode::RESP_METRICS
             }
             Response::MetricsText(text) => {
-                if version < 2 {
-                    return Err(ProtoError::Malformed(
-                        "MetricsText requires protocol version 2".into(),
-                    ));
-                }
                 put_str(&mut body, text);
                 opcode::RESP_METRICS_TEXT
             }
@@ -709,15 +654,13 @@ impl Response {
                         body.push(r.kind);
                         put_u64(&mut body, r.capacity);
                         put_u64(&mut body, r.depth);
-                        if version >= 3 {
-                            put_u64(&mut body, r.shard);
-                        }
+                        put_u64(&mut body, r.shard);
                     }
                 }
                 opcode::RESP_ERROR
             }
         };
-        frame(version, op, request_id, body)
+        frame(op, request_id, body)
     }
 }
 
@@ -813,7 +756,7 @@ fn usize_from(v: u64, what: &str) -> Result<usize, ProtoError> {
     usize::try_from(v).map_err(|_| ProtoError::Malformed(format!("{what} overflows usize")))
 }
 
-fn take_spec(c: &mut Cursor<'_>, version: u8) -> Result<QuerySpec, ProtoError> {
+fn take_spec(c: &mut Cursor<'_>) -> Result<QuerySpec, ProtoError> {
     let series = SeriesId::new(c.u64()?);
     let query = c.f64s()?;
     let epsilon = c.f64()?;
@@ -836,20 +779,16 @@ fn take_spec(c: &mut Cursor<'_>, version: u8) -> Result<QuerySpec, ProtoError> {
         None => None,
         Some(k) => Some(usize_from(k, "top-k limit")?),
     };
-    let explain = if version >= 2 {
-        match c.u8()? {
-            0 => false,
-            1 => true,
-            tag => return Err(ProtoError::Malformed(format!("invalid explain tag {tag}"))),
-        }
-    } else {
-        false
+    let explain = match c.u8()? {
+        0 => false,
+        1 => true,
+        tag => return Err(ProtoError::Malformed(format!("invalid explain tag {tag}"))),
     };
     Ok(QuerySpec { series, query, epsilon, measure, constraint, limit, explain })
 }
 
-fn take_stats(c: &mut Cursor<'_>, version: u8) -> Result<MatchStats, ProtoError> {
-    let mut s = MatchStats {
+fn take_stats(c: &mut Cursor<'_>) -> Result<MatchStats, ProtoError> {
+    Ok(MatchStats {
         candidates: c.u64()?,
         candidate_intervals: c.u64()?,
         index_accesses: c.u64()?,
@@ -866,17 +805,13 @@ fn take_stats(c: &mut Cursor<'_>, version: u8) -> Result<MatchStats, ProtoError>
         matches: c.u64()?,
         phase1_nanos: c.u64()?,
         phase2_nanos: c.u64()?,
-        ..MatchStats::default()
-    };
-    if version >= 2 {
-        s.lb_kim_nanos = c.u64()?;
-        s.lb_keogh_nanos = c.u64()?;
-        s.dtw_nanos = c.u64()?;
-        s.alloc_events = c.u64()?;
-        s.adaptive_skipped_lb_kim = c.u64()?;
-        s.adaptive_skipped_lb_keogh = c.u64()?;
-    }
-    Ok(s)
+        lb_kim_nanos: c.u64()?,
+        lb_keogh_nanos: c.u64()?,
+        dtw_nanos: c.u64()?,
+        alloc_events: c.u64()?,
+        adaptive_skipped_lb_kim: c.u64()?,
+        adaptive_skipped_lb_keogh: c.u64()?,
+    })
 }
 
 fn take_explain(c: &mut Cursor<'_>) -> Result<ExplainReport, ProtoError> {
@@ -940,16 +875,16 @@ fn take_metrics(c: &mut Cursor<'_>) -> Result<WireMetrics, ProtoError> {
 pub struct Frame<T> {
     /// The pipelining id this frame belongs to.
     pub request_id: u64,
-    /// The protocol version the frame arrived in. Servers answer each
-    /// request in this version so old peers never see newer bytes.
+    /// The protocol version the frame arrived in (always [`VERSION`]:
+    /// every other value is refused before a `Frame` exists).
     pub version: u8,
     /// The decoded message.
     pub message: T,
 }
 
 /// Splits a payload (everything after the length prefix) into
-/// `(version, opcode, request_id, body)`, validating the version byte
-/// against the `MIN_VERSION..=VERSION` window.
+/// `(version, opcode, request_id, body)`, refusing a version byte other
+/// than [`VERSION`].
 fn split_payload(payload: &[u8]) -> Result<(u8, u8, u64, &[u8]), ProtoError> {
     let mut c = Cursor::new(payload);
     let version = c.u8()?;
@@ -972,7 +907,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Frame<Request>, ProtoError> {
     let mut c = Cursor::new(body);
     let message = match op {
         opcode::REQ_QUERY => {
-            let spec = take_spec(&mut c, version)?;
+            let spec = take_spec(&mut c)?;
             let deadline_us = c.opt_u64()?;
             Request::Query { spec, deadline_us }
         }
@@ -982,7 +917,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Frame<Request>, ProtoError> {
             Request::Append { series, points }
         }
         opcode::REQ_METRICS => Request::Metrics,
-        opcode::REQ_METRICS_TEXT if version >= 2 => Request::MetricsText,
+        opcode::REQ_METRICS_TEXT => Request::MetricsText,
         opcode::REQ_PING => Request::Ping,
         opcode::REQ_SHUTDOWN => Request::Shutdown,
         other => return Err(ProtoError::UnknownOpcode(other)),
@@ -1007,22 +942,18 @@ pub fn decode_response(payload: &[u8]) -> Result<Frame<Response>, ProtoError> {
                 let distance = c.f64()?;
                 results.push(MatchResult { offset, distance });
             }
-            let stats = take_stats(&mut c, version)?;
+            let stats = take_stats(&mut c)?;
             let latency_us = c.u64()?;
-            let explain = if version >= 2 {
-                match c.u8()? {
-                    0 => None,
-                    1 => Some(Box::new(take_explain(&mut c)?)),
-                    tag => return Err(ProtoError::Malformed(format!("invalid explain tag {tag}"))),
-                }
-            } else {
-                None
+            let explain = match c.u8()? {
+                0 => None,
+                1 => Some(Box::new(take_explain(&mut c)?)),
+                tag => return Err(ProtoError::Malformed(format!("invalid explain tag {tag}"))),
             };
             Response::Query { results, stats, latency_us, explain }
         }
         opcode::RESP_APPENDED => Response::Appended,
         opcode::RESP_METRICS => Response::Metrics(take_metrics(&mut c)?),
-        opcode::RESP_METRICS_TEXT if version >= 2 => Response::MetricsText(c.str()?),
+        opcode::RESP_METRICS_TEXT => Response::MetricsText(c.str()?),
         opcode::RESP_PONG => Response::Pong,
         opcode::RESP_SHUTDOWN => Response::ShutdownStarted,
         opcode::RESP_ERROR => {
@@ -1034,7 +965,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Frame<Response>, ProtoError> {
                     kind: c.u8()?,
                     capacity: c.u64()?,
                     depth: c.u64()?,
-                    shard: if version >= 3 { c.u64()? } else { 0 },
+                    shard: c.u64()?,
                 }),
                 tag => return Err(ProtoError::Malformed(format!("invalid rejection tag {tag}"))),
             };

@@ -1,12 +1,10 @@
 //! The deterministic demo catalog the `kvmatch-server` binary serves.
 //!
 //! Everything here is a pure function of [`DemoSpec`], which is itself a
-//! pure function of the `KVM_*` environment — so a bench load generator
-//! or an integration test running in a *different process* can rebuild
-//! the exact catalog the server holds and compute expected answers that
-//! are bit-identical to what arrives over the socket. The formulas
-//! mirror the bench report's serving fixture; changing either side
-//! breaks the cross-process identity check, which is the point.
+//! pure function of the `KVM_*` environment — so a client or an
+//! integration test running in a *different process* can rebuild the
+//! exact catalog the server holds and compute expected answers that are
+//! bit-identical to what arrives over the socket.
 
 use kvmatch_core::exec::ExecutorConfig;
 use kvmatch_core::{Catalog, IndexBuildConfig, MemoryCatalogBackend, SeriesId};
@@ -27,7 +25,7 @@ pub struct DemoSpec {
     pub seed: u64,
     /// Executor verification threads (0 = library default).
     pub threads: usize,
-    /// Sizes the admission queue, mirroring the bench's serving config.
+    /// Expected concurrent submitters; sizes the admission queue.
     pub submitters: usize,
     /// Catalog shards (each with its own lane + worker set).
     pub shards: usize,
@@ -45,9 +43,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 impl DemoSpec {
     /// Reads `KVM_N`, `KVM_W`, `KVM_SERIES`, `KVM_SEED`, `KVM_THREADS`,
-    /// `KVM_SUBMITTERS` and `KVM_SHARDS` — the same knobs (same
-    /// defaults) the bench report reads, so server and load generator
-    /// agree by construction.
+    /// `KVM_SUBMITTERS` and `KVM_SHARDS`.
     pub fn from_env() -> Self {
         let d = Self::default();
         Self {
@@ -61,7 +57,7 @@ impl DemoSpec {
         }
     }
 
-    /// Points per series (the bench fixture's split).
+    /// Points per series.
     pub fn n_per_series(&self) -> usize {
         (self.n / self.series).max(self.w * 20).min(20_000)
     }
@@ -90,10 +86,9 @@ impl DemoSpec {
         catalog
     }
 
-    /// Spawns the demo service with the bench report's serving
-    /// topology at the given per-shard worker count: catalog split
-    /// across `self.shards`, admission queue sized from the expected
-    /// submitter count.
+    /// Spawns the demo service at the given per-shard worker count:
+    /// catalog split across `self.shards`, admission queue sized from
+    /// the expected submitter count.
     pub fn spawn_service(&self, workers: usize) -> QueryService<MemoryCatalogBackend> {
         let queue = (self.submitters * 2).max(4).max(16);
         QueryService::builder(self.build_catalog())

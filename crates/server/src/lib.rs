@@ -26,9 +26,8 @@
 //! Shutdown: a `Shutdown` request (or [`Server::shutdown`]) stops the
 //! acceptor, drains every admitted request to its connection, then joins
 //! all threads. The [`demo`] module builds the deterministic catalog the
-//! `kvmatch-server` binary serves, so external processes (the bench load
-//! generator, integration tests) can reconstruct bit-identical expected
-//! answers.
+//! `kvmatch-server` binary serves, so external processes can reconstruct
+//! bit-identical expected answers.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -306,19 +305,16 @@ where
     handles
 }
 
-/// One response awaiting write, in request arrival order. Every variant
-/// carries the protocol version its request arrived with — the response
-/// is encoded in that same version, so a v1 peer never sees v2 bytes on
-/// a connection it opened.
+/// One response awaiting write, in request arrival order.
 enum Outgoing {
     /// Already resolved (errors, pongs, metrics, acks).
-    Ready(u64, u8, Box<Response>),
+    Ready(u64, Box<Response>),
     /// A query in flight inside the service. The `Instant` is the
     /// arrival time at the socket, for the `server.request` span an
     /// explain response carries.
-    Query(u64, u8, ResponseHandle, Instant),
+    Query(u64, ResponseHandle, Instant),
     /// An append in flight inside the ingest lane.
-    Append(u64, u8, AppendHandle),
+    Append(u64, AppendHandle),
 }
 
 /// One connection: this thread reads and admits; a sibling thread
@@ -363,13 +359,7 @@ where
                         detail: err.to_string(),
                         rejected: None,
                     };
-                    // No request version to echo — v1 error frames are
-                    // understood by every peer.
-                    let _ = out.push_wait(Outgoing::Ready(
-                        0,
-                        proto::MIN_VERSION,
-                        Box::new(Response::Error(wire_err)),
-                    ));
+                    let _ = out.push_wait(Outgoing::Ready(0, Box::new(Response::Error(wire_err))));
                 }
                 break;
             }
@@ -384,26 +374,20 @@ where
                     detail: err.to_string(),
                     rejected: None,
                 };
-                let _ = out.push_wait(Outgoing::Ready(
-                    0,
-                    proto::MIN_VERSION,
-                    Box::new(Response::Error(wire_err)),
-                ));
+                let _ = out.push_wait(Outgoing::Ready(0, Box::new(Response::Error(wire_err))));
                 break;
             }
         };
         shared.net.frames_in.inc();
         let id = frame.request_id;
-        let version = frame.version;
         let item = match frame.message {
             Request::Query { spec, deadline_us } => {
                 let arrived = Instant::now();
                 let request = wire::query_request(spec, deadline_us);
                 match shared.service.submit_timeout(request, shared.options.admission_wait) {
-                    Submit::Accepted(handle) => Outgoing::Query(id, version, handle, arrived),
+                    Submit::Accepted(handle) => Outgoing::Query(id, handle, arrived),
                     Submit::Rejected(r) => Outgoing::Ready(
                         id,
-                        version,
                         Box::new(Response::Error(wire::wire_error(&ServeError::Rejected(
                             r.rejected,
                         )))),
@@ -412,10 +396,9 @@ where
             }
             Request::Append { series, points } => {
                 match shared.service.append(series, points, shared.options.append_wait) {
-                    Ok(handle) => Outgoing::Append(id, version, handle),
+                    Ok(handle) => Outgoing::Append(id, handle),
                     Err(rejected) => Outgoing::Ready(
                         id,
-                        version,
                         Box::new(Response::Error(wire::wire_error(&ServeError::Rejected(
                             rejected.rejected,
                         )))),
@@ -432,18 +415,18 @@ where
                 m.net_bytes_in = net.bytes_in;
                 m.net_bytes_out = net.bytes_out;
                 m.net_protocol_errors = net.protocol_errors;
-                Outgoing::Ready(id, version, Box::new(Response::Metrics(m)))
+                Outgoing::Ready(id, Box::new(Response::Metrics(m)))
             }
             Request::MetricsText => {
                 // The shared registry holds serving and network metrics
                 // alike; one render is the whole exposition.
                 let text = shared.service.metrics_text();
-                Outgoing::Ready(id, version, Box::new(Response::MetricsText(text)))
+                Outgoing::Ready(id, Box::new(Response::MetricsText(text)))
             }
-            Request::Ping => Outgoing::Ready(id, version, Box::new(Response::Pong)),
+            Request::Ping => Outgoing::Ready(id, Box::new(Response::Pong)),
             Request::Shutdown => {
                 shared.shutdown.raise();
-                Outgoing::Ready(id, version, Box::new(Response::ShutdownStarted))
+                Outgoing::Ready(id, Box::new(Response::ShutdownStarted))
             }
         };
         // A full outgoing queue blocks here — reader backpressure.
@@ -465,9 +448,9 @@ where
 {
     let mut writer = BufWriter::new(stream);
     while let Some(item) = out.pop_wait() {
-        let (id, version, response) = match item {
-            Outgoing::Ready(id, version, response) => (id, version, *response),
-            Outgoing::Query(id, version, handle, arrived) => match handle.wait() {
+        let (id, response) = match item {
+            Outgoing::Ready(id, response) => (id, *response),
+            Outgoing::Query(id, handle, arrived) => match handle.wait() {
                 Ok(mut resp) => {
                     // The server's own span: socket arrival to response
                     // write, wrapping the service's queue/execute spans.
@@ -478,19 +461,18 @@ where
                             nanos: arrived.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
                         });
                     }
-                    (id, version, wire::wire_response(&resp))
+                    (id, wire::wire_response(&resp))
                 }
-                Err(err) => (id, version, Response::Error(wire::wire_error(&err))),
+                Err(err) => (id, Response::Error(wire::wire_error(&err))),
             },
-            Outgoing::Append(id, version, handle) => match handle.wait() {
-                Ok(()) => (id, version, Response::Appended),
-                Err(err) => (id, version, Response::Error(wire::wire_error(&err))),
+            Outgoing::Append(id, handle) => match handle.wait() {
+                Ok(()) => (id, Response::Appended),
+                Err(err) => (id, Response::Error(wire::wire_error(&err))),
             },
         };
         // A response too large for one frame (encode enforces MAX_FRAME)
         // degrades to an error frame the client can attribute and act on.
-        // Responses echo the version their request arrived with.
-        let frame = match response.encode_v(id, version) {
+        let frame = match response.encode(id) {
             Ok(frame) => frame,
             Err(err) => {
                 let wire_err = proto::WireError {
@@ -498,7 +480,7 @@ where
                     detail: err.to_string(),
                     rejected: None,
                 };
-                match Response::Error(wire_err).encode_v(id, version) {
+                match Response::Error(wire_err).encode(id) {
                     Ok(frame) => frame,
                     Err(_) => {
                         abort_outgoing(out);

@@ -8,6 +8,9 @@
 //! latency is *modelled*, not slept: every region touched adds
 //! `latency_per_scan_ns` to the shared [`IoStats`] so experiments can report
 //! network cost without wall-clock noise.
+//!
+//! This is a *store* partitioned by key range; a "shard" in the serving
+//! docs always means a `CatalogShard` of `kvmatch-serve`, never this.
 
 use bytes::Bytes;
 

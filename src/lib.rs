@@ -70,7 +70,7 @@ pub mod prelude {
         select_top_k, Catalog, CatalogBackend, Constraint, CoreError, DpMatcher, DpOptions,
         ExecutorConfig, IndexAppender, IndexBuildConfig, IndexSetConfig, KvIndex, KvMatcher,
         MatchResult, MatchStats, Measure, MemoryCatalogBackend, MultiIndex, QueryExecutor,
-        QuerySpec, ReadView, RowCache, SeriesId, ShardedCatalogBackend,
+        QuerySpec, ReadView, RowCache, SeriesId,
     };
     pub use kvmatch_distance::LpExponent;
     pub use kvmatch_lsm::{LsmCatalogBackend, LsmKvStore, LsmKvStoreBuilder, LsmOptions};
