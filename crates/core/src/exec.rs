@@ -21,21 +21,31 @@
 //!    never alias. Probe accounting keeps real scans
 //!    ([`MatchStats::index_accesses`]) and cache-served probes
 //!    ([`MatchStats::probe_cache_hits`]) distinct.
-//! 3. **Fanned-out verification.** Phase 2 flattens every (query,
-//!    candidate-interval) pair — across *all* series — into one work list
-//!    and drains it from a [`std::thread::scope`] worker pool. Each work
-//!    item runs the same per-interval verification routine (and the same
-//!    shared [`LbCascade`](kvmatch_distance::LbCascade) stages) the
-//!    sequential matcher runs, so batched results are **bit-identical**
+//! 3. **Fanned-out verification in bounded ranges.** Phase 2 cuts every
+//!    candidate interval of every query — across *all* series — into
+//!    work items: contiguous ranges of the interval's candidates whose
+//!    kernel work is capped at `RANGE_CELLS` band cells (`m·(2ρ+1)` per
+//!    candidate, ρ = 0 for ED). KV-match yields few, long intervals, so
+//!    whole-interval items would leave the slowest interval on one thread
+//!    while the others idle; bounded ranges keep a
+//!    [`std::thread::scope`] pool evenly busy. Each interval is still
+//!    fetched once (one store fetch and, for cNSM, one set of prefix
+//!    statistics), by the first worker to reach one of its ranges, and
+//!    dropped when its last range is verified. Each item runs the same
+//!    range verification routine (and the same shared
+//!    [`LbCascade`](kvmatch_distance::LbCascade) stages) the sequential
+//!    matcher runs over whole intervals, reading the same fetched block
+//!    and the same µ/σ anchor, so batched results are **bit-identical**
 //!    per series to per-query [`KvMatcher`](crate::matcher::KvMatcher)
 //!    output — the equivalence tests assert exact equality, including
 //!    distances.
 //!
-//! Worker results are merged back in deterministic (query, interval)
-//! order; per-query statistics report the same candidate counts as
-//! sequential execution, while [`BatchStats`] carries the batch-level
-//! numbers and [`BatchOutput::per_series`] the per-series split (wall
-//! time, probe sharing, matches).
+//! Worker results are merged back in deterministic (query, interval,
+//! range) order, which is the sequential offset order; per-query
+//! statistics report the same candidate and fetch counts as sequential
+//! execution, while [`BatchStats`] carries the batch-level numbers and
+//! [`BatchOutput::per_series`] the per-series split (wall time, probe
+//! sharing, matches).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,7 +60,9 @@ use parking_lot::Mutex;
 use crate::cache::{RowCache, RowCacheStats};
 use crate::index::KvIndex;
 use crate::interval::{IntervalSet, WindowInterval};
-use crate::matcher::{candidate_set, verify_interval, PreparedQuery};
+use crate::matcher::{
+    candidate_set, verify_range, FetchedInterval, PreparedQuery, RangeVerification,
+};
 use crate::query::{select_top_k, CoreError, MatchResult, MatchStats, QuerySpec};
 
 /// Tuning knobs for a [`QueryExecutor`].
@@ -116,7 +128,8 @@ pub struct BatchStats {
     pub probe_cache_hits: u64,
     /// Real store scans issued.
     pub store_scans: u64,
-    /// Verification work items (candidate intervals) executed.
+    /// Verification work items executed: bounded candidate ranges, at
+    /// least one per candidate interval.
     pub work_items: u64,
     /// Worker threads used for verification.
     pub threads: u64,
@@ -135,9 +148,9 @@ pub struct SeriesBatchStats {
     /// Summed phase-1 nanoseconds of those queries (probing is
     /// sequential, so this is attributable wall time).
     pub probe_nanos: u64,
-    /// Summed per-interval verification worker nanoseconds attributed to
-    /// this series (CPU time, not wall time — verification interleaves
-    /// across series on the shared pool).
+    /// Summed interval-fetch and per-range verification nanoseconds
+    /// attributed to this series (CPU time, not wall time — verification
+    /// interleaves across series on the shared pool).
     pub verify_nanos: u64,
     /// Window probes issued for this series.
     pub probes: u64,
@@ -163,32 +176,83 @@ pub struct BatchOutput {
     pub per_series: Vec<SeriesBatchStats>,
 }
 
+/// Kernel work one phase-2 work item may carry, in band cells: a
+/// candidate costs `m·(2ρ+1)` cells (ρ = 0 for ED and Lp). At this cap an
+/// RSM-DTW query with m = 192, ρ = 8 verifies 245 candidates per item
+/// and an ED query with m = 256 verifies 3 125.
+const RANGE_CELLS: usize = 800_000;
+
+/// Candidates per phase-2 work item for `prep`: [`RANGE_CELLS`] worth of
+/// band cells, and at least one.
+fn range_len(prep: &PreparedQuery) -> usize {
+    (RANGE_CELLS / (prep.m * (2 * prep.spec.measure.rho() + 1))).max(1)
+}
+
 /// A per-query execution plan produced by phase 1.
 struct Plan {
     prep: PreparedQuery,
     target: usize,
     probes: u64,
+    work_items: u64,
     cs: IntervalSet,
     stats: MatchStats,
     /// Top-k only: the query's shared best-so-far threshold. Workers
-    /// verifying *any* of this query's intervals — potentially on
-    /// different threads — tighten and read the same bound, so a good
-    /// match found in one interval abandons candidates in every other.
+    /// verifying *any* of this query's ranges — potentially on different
+    /// threads — tighten and read the same bound, so a good match found
+    /// in one range abandons candidates in every other.
     best: Option<Mutex<BestSoFar>>,
 }
 
-/// One unit of phase-2 work: a candidate interval of one query.
-#[derive(Clone, Copy)]
-struct WorkItem {
+/// One candidate interval of one query in phase 2. Its data is fetched by
+/// the first worker to verify one of its ranges and dropped by the worker
+/// that finishes its last, so a batch holds about one block per worker,
+/// as whole-interval verification did.
+struct IntervalSlot {
     query: usize,
-    interval: WindowInterval,
+    wi: WindowInterval,
+    block: Mutex<Option<Arc<FetchedInterval>>>,
+    ranges_left: AtomicUsize,
 }
 
-/// What a worker produced for one [`WorkItem`].
+impl IntervalSlot {
+    /// The interval's block, fetched on first use; the `u64` is the points
+    /// this call fetched (0 when the block was already there).
+    fn acquire<D: SeriesStore>(
+        &self,
+        data: &D,
+        prep: &PreparedQuery,
+    ) -> Result<(Arc<FetchedInterval>, u64), CoreError> {
+        let mut held = self.block.lock();
+        if let Some(block) = &*held {
+            return Ok((Arc::clone(block), 0));
+        }
+        let block = Arc::new(FetchedInterval::fetch(data, prep, self.wi)?);
+        *held = Some(Arc::clone(&block));
+        let points = block.points();
+        Ok((block, points))
+    }
+
+    /// Marks one range verified; the last one drops the block.
+    fn release(&self) {
+        if self.ranges_left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            *self.block.lock() = None;
+        }
+    }
+}
+
+/// One unit of phase-2 work: candidates `start..end` of one interval.
+struct WorkItem {
+    slot: usize,
+    start: usize,
+    end: usize,
+}
+
+/// What a worker produced for one [`WorkItem`]: the points it fetched and
+/// the range's verification.
 struct WorkOutput {
     item_idx: usize,
     nanos: u64,
-    verification: Result<crate::matcher::IntervalVerification, CoreError>,
+    outcome: Result<(u64, RangeVerification), CoreError>,
 }
 
 /// One series served by a [`QueryExecutor`]: its index view, its data
@@ -316,6 +380,7 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
                 prep,
                 target,
                 probes: 0,
+                work_items: 0,
                 cs: IntervalSet::new(),
                 stats: MatchStats::default(),
                 best,
@@ -350,15 +415,29 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
         }
         batch.probe_nanos = t_probe.elapsed().as_nanos() as u64;
 
-        // Phase 2: flatten (query, interval) work items across every
-        // series and fan out over one worker pool.
-        let items: Vec<WorkItem> = plans
-            .iter()
-            .enumerate()
-            .flat_map(|(query, plan)| {
-                plan.cs.intervals().iter().map(move |&interval| WorkItem { query, interval })
-            })
-            .collect();
+        // Phase 2: cut every candidate interval into bounded ranges and
+        // fan the ranges of every series out over one worker pool.
+        let mut slots = Vec::new();
+        let mut items = Vec::new();
+        for (query, plan) in plans.iter_mut().enumerate() {
+            let span = range_len(&plan.prep);
+            for &wi in plan.cs.intervals() {
+                let count = wi.size() as usize;
+                let ranges = count.div_ceil(span);
+                items.extend((0..ranges).map(|r| WorkItem {
+                    slot: slots.len(),
+                    start: r * span,
+                    end: ((r + 1) * span).min(count),
+                }));
+                slots.push(IntervalSlot {
+                    query,
+                    wi,
+                    block: Mutex::new(None),
+                    ranges_left: AtomicUsize::new(ranges),
+                });
+                plan.work_items += ranges as u64;
+            }
+        }
         batch.work_items = items.len() as u64;
 
         // Workers only need each plan's data store; collecting the refs
@@ -368,63 +447,41 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
         let threads = self.threads().min(items.len()).max(1);
         batch.threads = threads as u64;
         let t_verify = Instant::now();
-        let mut outputs: Vec<WorkOutput> = if items.is_empty() {
-            Vec::new()
-        } else if threads == 1 {
-            // Single worker: run inline, skipping thread spawn/join cost.
-            // One scratch per worker: after the first item it is warm and
-            // verification performs no kernel heap allocations.
-            let mut produced = Vec::with_capacity(items.len());
-            let mut scratch = KernelScratch::new();
-            for (item_idx, item) in items.iter().enumerate() {
-                let plan = &plans[item.query];
-                let t = Instant::now();
-                let verification = verify_interval(
-                    data_refs[plan.target],
-                    &plan.prep,
-                    item.interval,
-                    &mut scratch,
-                    plan.best.as_ref(),
-                );
-                produced.push(WorkOutput {
-                    item_idx,
-                    nanos: t.elapsed().as_nanos() as u64,
-                    verification,
+        // One scratch per worker: after its first item it is warm and
+        // verification performs no kernel heap allocations.
+        let work = |item_idx: usize, scratch: &mut KernelScratch| {
+            let item = &items[item_idx];
+            let slot = &slots[item.slot];
+            let plan = &plans[slot.query];
+            let t = Instant::now();
+            let outcome =
+                slot.acquire(data_refs[plan.target], &plan.prep).map(|(block, points)| {
+                    let ks = item.start..item.end;
+                    let verification =
+                        verify_range(&plan.prep, &block, ks, scratch, plan.best.as_ref());
+                    slot.release();
+                    (points, verification)
                 });
-            }
-            produced
+            WorkOutput { item_idx, nanos: t.elapsed().as_nanos() as u64, outcome }
+        };
+        let mut outputs: Vec<WorkOutput> = if threads == 1 {
+            // Single worker: run inline, skipping thread spawn/join cost.
+            let mut scratch = KernelScratch::new();
+            (0..items.len()).map(|item_idx| work(item_idx, &mut scratch)).collect()
         } else {
             let next = AtomicUsize::new(0);
-            let next_ref = &next;
-            let plans_ref = &plans;
-            let items_ref = &items;
-            let data_ref = &data_refs;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
-                        scope.spawn(move || {
+                        scope.spawn(|| {
                             let mut produced = Vec::new();
                             let mut scratch = KernelScratch::new();
                             loop {
-                                let item_idx = next_ref.fetch_add(1, Ordering::Relaxed);
-                                if item_idx >= items_ref.len() {
+                                let item_idx = next.fetch_add(1, Ordering::Relaxed);
+                                if item_idx >= items.len() {
                                     break;
                                 }
-                                let item = items_ref[item_idx];
-                                let plan = &plans_ref[item.query];
-                                let t = Instant::now();
-                                let verification = verify_interval(
-                                    data_ref[plan.target],
-                                    &plan.prep,
-                                    item.interval,
-                                    &mut scratch,
-                                    plan.best.as_ref(),
-                                );
-                                produced.push(WorkOutput {
-                                    item_idx,
-                                    nanos: t.elapsed().as_nanos() as u64,
-                                    verification,
-                                });
+                                produced.push(work(item_idx, &mut scratch));
                             }
                             produced
                         })
@@ -438,24 +495,24 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
         };
         batch.verify_nanos = t_verify.elapsed().as_nanos() as u64;
 
-        // Merge in deterministic (query, interval) order. Items were
-        // created query-by-query over already-sorted interval sets, so
-        // ascending item index reproduces the sequential append order.
-        // The inline (single-worker) path produced them in that order
-        // already.
+        // Merge in deterministic (query, interval, range) order. Items
+        // were created query-by-query over already-sorted interval sets,
+        // each cut into ascending ranges, so ascending item index
+        // reproduces the sequential append order. The inline
+        // (single-worker) path produced them in that order already.
         if threads > 1 {
             outputs.sort_unstable_by_key(|o| o.item_idx);
         }
         let mut merged: Vec<Vec<MatchResult>> = plans.iter().map(|_| Vec::new()).collect();
         for out in outputs {
-            let query = items[out.item_idx].query;
+            let query = slots[items[out.item_idx].slot].query;
             let plan = &mut plans[query];
-            let iv = out.verification?;
-            plan.stats.points_fetched += iv.points_fetched;
-            plan.stats.absorb_cascade(&iv.cascade);
-            plan.stats.alloc_events += iv.alloc_events;
+            let (points, v) = out.outcome?;
+            plan.stats.points_fetched += points;
+            plan.stats.absorb_cascade(&v.cascade);
+            plan.stats.alloc_events += v.alloc_events;
             plan.stats.phase2_nanos += out.nanos;
-            merged[query].extend(iv.results);
+            merged[query].extend(v.results);
         }
 
         for (target, before) in self.targets.iter().zip(&cache_before) {
@@ -493,7 +550,7 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
                 s.probes += plan.probes;
                 s.probe_cache_hits += plan.stats.probe_cache_hits;
                 s.store_scans += plan.stats.index_accesses;
-                s.work_items += plan.stats.candidate_intervals;
+                s.work_items += plan.work_items;
                 s.matches += plan.stats.matches;
                 QueryOutput { results, stats: plan.stats }
             })
@@ -789,6 +846,42 @@ mod tests {
         .unwrap();
         for (a, b) in plain.outputs.iter().zip(&adaptive.outputs) {
             assert_eq!(a.results, b.results, "adaptive cascade changed results");
+        }
+    }
+
+    /// A failing interval fetch inside a worker fails the whole batch
+    /// with the storage error, at any thread count — including when the
+    /// interval is cut into several ranges that all try to fetch it.
+    #[test]
+    fn fetch_error_fails_the_batch() {
+        struct FailingFetch(MemorySeriesStore);
+        impl SeriesStore for FailingFetch {
+            fn len(&self) -> usize {
+                self.0.len()
+            }
+            fn fetch(&self, _offset: usize, _len: usize) -> kvmatch_storage::Result<Vec<f64>> {
+                Err(kvmatch_storage::StorageError::Corrupt("injected fetch failure".into()))
+            }
+            fn io_stats(&self) -> kvmatch_storage::IoStats {
+                self.0.io_stats()
+            }
+        }
+        let xs = composite_series(131, 4_000);
+        let idx = build_index(&xs, 50);
+        let data = FailingFetch(MemorySeriesStore::new(xs.clone()));
+        // ε = ∞ admits every position: one interval, many ranges.
+        let specs = [QuerySpec::rsm_dtw(xs[500..700].to_vec(), f64::INFINITY, 8)];
+        for threads in [1usize, 4] {
+            let exec = QueryExecutor::with_config(
+                &idx,
+                &data,
+                ExecutorConfig { threads, ..ExecutorConfig::default() },
+            )
+            .unwrap();
+            assert!(
+                matches!(exec.execute_batch(&specs), Err(CoreError::Storage(_))),
+                "threads={threads}"
+            );
         }
     }
 

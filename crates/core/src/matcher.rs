@@ -10,6 +10,7 @@
 //! appropriate distance kernel, guarded by the same cascading lower bounds
 //! UCR Suite uses (so the head-to-head comparison is fair).
 
+use std::ops::Range;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -302,8 +303,47 @@ impl PreparedQuery {
     }
 }
 
-/// Everything phase 2 produced for one candidate interval.
-pub(crate) struct IntervalVerification {
+/// One candidate interval's data, fetched once: the block
+/// `X(WI.l, |WI| − 1 + |Q|)` every candidate of the interval reads, plus
+/// (cNSM only) the block's prefix statistics. Those prefix sums are the
+/// anchor every candidate's µ/σ is computed from, so verifying the block
+/// in ranges reproduces verifying it whole bit for bit.
+pub(crate) struct FetchedInterval {
+    left: usize,
+    count: usize,
+    buf: Vec<f64>,
+    ps: Option<PrefixStats>,
+}
+
+impl FetchedInterval {
+    /// Phase 2, step 1: one [`SeriesStore::fetch`] (and, for cNSM, one
+    /// [`PrefixStats`]) for candidate interval `wi`.
+    pub(crate) fn fetch<D: SeriesStore>(
+        data: &D,
+        prep: &PreparedQuery,
+        wi: WindowInterval,
+    ) -> Result<Self, CoreError> {
+        let left = wi.left as usize;
+        let count = wi.size() as usize;
+        let buf = data.fetch(left, count - 1 + prep.m)?;
+        let ps = prep.spec.is_normalized().then(|| PrefixStats::new(&buf));
+        Ok(Self { left, count, buf, ps })
+    }
+
+    /// Candidates in the interval; `k < candidates()` names the
+    /// subsequence starting at `WI.l + k`.
+    pub(crate) fn candidates(&self) -> usize {
+        self.count
+    }
+
+    /// Data points the fetch read.
+    pub(crate) fn points(&self) -> u64 {
+        self.buf.len() as u64
+    }
+}
+
+/// Everything phase 2 produced for one range of a fetched interval.
+pub(crate) struct RangeVerification {
     /// Qualified subsequences, in offset order. For top-k queries the
     /// `distance` field holds the **comparison-domain** value (squared /
     /// p-th-power) until the final [`select_top_k`] +
@@ -311,50 +351,45 @@ pub(crate) struct IntervalVerification {
     /// share the kernels' exact domain, so rooting happens only at the
     /// very end.
     pub results: Vec<MatchResult>,
-    /// Data points fetched for this interval.
-    pub points_fetched: u64,
     /// Per-cascade-stage pruning counts.
     pub cascade: CascadeStats,
-    /// Kernel scratch buffer growths this interval forced (0 once the
+    /// Kernel scratch buffer growths this range forced (0 once the
     /// worker's scratch is warm).
     pub alloc_events: u64,
 }
 
-/// Verifies every subsequence of one candidate interval `wi` against the
-/// series store. The single verification routine behind the sequential
-/// matchers and each [`QueryExecutor`] work item — batched and sequential
-/// execution produce bit-identical results because they both run this.
+/// Phase 2, step 2: verifies candidates `ks` (block-relative, within
+/// `0..block.candidates()`) of a fetched interval. The single
+/// verification routine behind the sequential matchers, which pass each
+/// interval whole, and each [`QueryExecutor`] work item, which passes a
+/// bounded range — batched and sequential execution produce bit-identical
+/// results because they both run this over the same block.
 ///
 /// For top-k queries `best` carries the query's shared [`BestSoFar`]:
 /// each candidate is verified against the tracker's current threshold
 /// (≤ ε, shrinking as results accumulate — cross-candidate tightening
-/// across *all* of the query's intervals, even when they run on different
+/// across *all* of the query's ranges, even when they run on different
 /// worker threads), and every qualifying distance is offered back.
 /// Candidates the tracker rejects are provably outside the final top-k
 /// (the threshold only shrinks), so dropping them preserves exactness.
 ///
 /// [`QueryExecutor`]: crate::exec::QueryExecutor
-pub(crate) fn verify_interval<D: SeriesStore>(
-    data: &D,
+pub(crate) fn verify_range(
     prep: &PreparedQuery,
-    wi: WindowInterval,
+    block: &FetchedInterval,
+    ks: Range<usize>,
     scratch: &mut KernelScratch,
     best: Option<&Mutex<BestSoFar>>,
-) -> Result<IntervalVerification, CoreError> {
+) -> RangeVerification {
     let m = prep.m;
-    let l = wi.left as usize;
-    let count = wi.size() as usize;
-    let fetch_len = count - 1 + m;
+    let l = block.left;
     let allocs_before = scratch.alloc_events();
-    let buf = data.fetch(l, fetch_len)?;
-    // O(1) per-candidate statistics over the fetched block.
-    let ps = prep.spec.is_normalized().then(|| PrefixStats::new(&buf));
     let ceiling = prep.threshold_ceiling();
     let mut results = Vec::new();
     let mut cascade = CascadeStats::default();
-    for k in 0..count {
-        let s = &buf[k..k + m];
-        let (mu_s, sigma_s) = match &ps {
+    for k in ks {
+        let s = &block.buf[k..k + m];
+        let (mu_s, sigma_s) = match &block.ps {
             Some(ps) => ps.range_mean_std(k, m),
             None => (0.0, 0.0),
         };
@@ -382,12 +417,7 @@ pub(crate) fn verify_interval<D: SeriesStore>(
             }
         }
     }
-    Ok(IntervalVerification {
-        results,
-        points_fetched: fetch_len as u64,
-        cascade,
-        alloc_events: scratch.alloc_events() - allocs_before,
-    })
+    RangeVerification { results, cascade, alloc_events: scratch.alloc_events() - allocs_before }
 }
 
 /// Converts a top-k result set's comparison-domain values into reported
@@ -414,11 +444,12 @@ pub(crate) fn verify_candidates<D: SeriesStore>(
     let mut results = Vec::new();
     let mut scratch = KernelScratch::with_query_capacity(prep.m, prep.spec.measure.rho());
     for wi in cs.intervals() {
-        let iv = verify_interval(data, prep, *wi, &mut scratch, best.as_ref())?;
-        stats.points_fetched += iv.points_fetched;
-        stats.absorb_cascade(&iv.cascade);
-        stats.alloc_events += iv.alloc_events;
-        results.extend(iv.results);
+        let block = FetchedInterval::fetch(data, prep, *wi)?;
+        stats.points_fetched += block.points();
+        let v = verify_range(prep, &block, 0..block.candidates(), &mut scratch, best.as_ref());
+        stats.absorb_cascade(&v.cascade);
+        stats.alloc_events += v.alloc_events;
+        results.extend(v.results);
     }
     if let Some(k) = prep.spec.limit {
         select_top_k(&mut results, k);
@@ -783,11 +814,26 @@ mod tests {
         ));
     }
 
+    /// Fetches `wi` and verifies it whole — the sequential matchers' path.
+    fn verify_whole(
+        data: &MemorySeriesStore,
+        prep: &PreparedQuery,
+        wi: WindowInterval,
+        scratch: &mut KernelScratch,
+    ) -> RangeVerification {
+        let block = FetchedInterval::fetch(data, prep, wi).unwrap();
+        verify_range(prep, &block, 0..block.candidates(), scratch, None)
+    }
+
+    fn result_bits(results: &[MatchResult]) -> Vec<(usize, u64)> {
+        results.iter().map(|r| (r.offset, r.distance.to_bits())).collect()
+    }
+
     #[test]
     fn warm_verify_interval_is_allocation_free() {
         // The zero-allocation contract of the kernel pass: once a worker's
         // KernelScratch has grown to a query's working-set size, repeated
-        // verify_interval calls perform no kernel heap allocations —
+        // verify_range calls perform no kernel heap allocations —
         // KernelScratch counts every buffer growth, so a zero delta on the
         // warm repetition proves it. Covers all four query classes
         // (RSM/cNSM × ED/DTW); the cNSM-DTW case exercises the
@@ -806,18 +852,58 @@ mod tests {
             let wi = WindowInterval::new(200, 600);
             let mut scratch = KernelScratch::new();
             // Cold pass: the scratch grows to size.
-            verify_interval(&data, &prep, wi, &mut scratch, None).unwrap();
+            verify_whole(&data, &prep, wi, &mut scratch);
             let warm = scratch.alloc_events();
             // Warm passes: zero further kernel allocations.
             for _ in 0..3 {
-                verify_interval(&data, &prep, wi, &mut scratch, None).unwrap();
+                verify_whole(&data, &prep, wi, &mut scratch);
             }
             assert_eq!(
                 scratch.alloc_events(),
                 warm,
-                "warm verify_interval allocated ({:?})",
+                "warm verify_range allocated ({:?})",
                 spec.measure
             );
+        }
+    }
+
+    #[test]
+    fn ranges_of_a_block_concatenate_to_the_whole() {
+        // Cutting one fetched interval into ranges — uneven ones, and in
+        // any order — yields the whole-interval results and cascade
+        // counts bit for bit: every range reads the same block and the
+        // same prefix-statistics anchor.
+        let xs = composite_series(81, 2_500);
+        let q = xs[900..1060].to_vec();
+        let data = MemorySeriesStore::new(xs.clone());
+        let wi = WindowInterval::new(100, 1_900);
+        for spec in [
+            QuerySpec::rsm_ed(q.clone(), 30.0),
+            QuerySpec::rsm_dtw(q.clone(), 20.0, 6),
+            QuerySpec::cnsm_ed(q.clone(), 6.0, 1.5, 2.0),
+            QuerySpec::cnsm_dtw(q.clone(), 5.0, 6, 1.5, 2.0),
+        ] {
+            let prep = PreparedQuery::new(spec.clone()).unwrap();
+            let mut scratch = KernelScratch::new();
+            let whole = verify_whole(&data, &prep, wi, &mut scratch);
+            let block = FetchedInterval::fetch(&data, &prep, wi).unwrap();
+            let cuts = [0, 1, 97, 640, 641, 1_333, block.candidates()];
+            let mut ranges: Vec<Range<usize>> = cuts.windows(2).map(|c| c[0]..c[1]).collect();
+            ranges.reverse();
+            let mut parts: Vec<(usize, RangeVerification)> = ranges
+                .into_iter()
+                .map(|ks| (ks.start, verify_range(&prep, &block, ks, &mut scratch, None)))
+                .collect();
+            parts.sort_by_key(|(start, _)| *start);
+            let mut results = Vec::new();
+            let mut cascade = CascadeStats::default();
+            for (_, part) in parts {
+                results.extend(part.results);
+                cascade.merge(&part.cascade);
+            }
+            assert!(!whole.results.is_empty(), "{:?}: vacuous", spec.measure);
+            assert_eq!(result_bits(&results), result_bits(&whole.results), "{:?}", spec.measure);
+            assert_eq!(cascade, whole.cascade, "{:?}", spec.measure);
         }
     }
 
@@ -841,13 +927,14 @@ mod tests {
             }));
             let wi = WindowInterval::new(100, 1200);
             let mut scratch = KernelScratch::new();
-            let a = verify_interval(&data, &plain, wi, &mut scratch, None).unwrap();
-            let b = verify_interval(&data, &adaptive, wi, &mut scratch, None).unwrap();
-            let av: Vec<(usize, u64)> =
-                a.results.iter().map(|r| (r.offset, r.distance.to_bits())).collect();
-            let bv: Vec<(usize, u64)> =
-                b.results.iter().map(|r| (r.offset, r.distance.to_bits())).collect();
-            assert_eq!(av, bv, "adaptive changed results ({:?})", spec.measure);
+            let a = verify_whole(&data, &plain, wi, &mut scratch);
+            let b = verify_whole(&data, &adaptive, wi, &mut scratch);
+            assert_eq!(
+                result_bits(&a.results),
+                result_bits(&b.results),
+                "adaptive changed results ({:?})",
+                spec.measure
+            );
         }
     }
 

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use kvmatch_core::{
-    ExecutorConfig, IndexBuildConfig, KvIndex, KvMatcher, QueryExecutor, QuerySpec,
+    ExecutorConfig, IndexBuildConfig, KvIndex, KvMatcher, MatchResult, QueryExecutor, QuerySpec,
 };
 use kvmatch_storage::memory::MemoryKvStoreBuilder;
 use kvmatch_storage::{MemoryKvStore, MemorySeriesStore};
@@ -105,6 +105,81 @@ fn random_workload_single_thread() {
 #[test]
 fn random_workload_more_threads_than_items() {
     assert_batch_equals_sequential(1117, 3_000, 25, 16, 4);
+}
+
+fn bits(results: &[MatchResult]) -> Vec<(usize, u64)> {
+    results.iter().map(|r| (r.offset, r.distance.to_bits())).collect()
+}
+
+/// Candidate sets holding intervals at least 4× a work item's range, so
+/// phase 2 cuts them into bounded ranges over one fetched block. Answers
+/// stay bit-identical to the sequential matcher at every thread count —
+/// the cNSM-DTW case pins the per-interval µ/σ anchor — and so do the
+/// candidate, fetch and (for range queries) cascade counters.
+#[test]
+fn intervals_split_into_ranges_match_sequential() {
+    let xs = composite_series(1129, 6_000);
+    let idx = build_index(&xs, 50);
+    let data = MemorySeriesStore::new(xs.clone());
+    let matcher = KvMatcher::new(&idx, &data).unwrap();
+    // Candidates per range → largest candidate interval: m = 192, ρ = 8:
+    // 245 → 1 114 (top-k: 2 078); m = 160, ρ = 5: 454 → 2 374; ED with
+    // m = 800: 1 000 → 5 201.
+    let specs = [
+        QuerySpec::rsm_dtw(xs[1_000..1_192].to_vec(), 120.0, 8),
+        QuerySpec::cnsm_dtw(xs[2_500..2_660].to_vec(), 6.0, 5, 3.0, 20.0),
+        QuerySpec::rsm_dtw(xs[4_000..4_192].to_vec(), 120.0, 8).top_k(5),
+        QuerySpec::rsm_ed(xs[3_000..3_800].to_vec(), 320.0),
+    ];
+    for spec in &specs {
+        let (want, want_stats) = matcher.execute(spec).unwrap();
+        assert!(!want.is_empty(), "{:?}: vacuous case", spec.measure);
+        for threads in [1usize, 2, 4] {
+            let exec = QueryExecutor::with_config(
+                &idx,
+                &data,
+                ExecutorConfig { threads, ..ExecutorConfig::default() },
+            )
+            .unwrap();
+            let batch = exec.execute_batch(std::slice::from_ref(spec)).unwrap();
+            let got = &batch.outputs[0];
+            let case = format!("{:?} top-k {:?}, threads {threads}", spec.measure, spec.limit);
+            assert_eq!(bits(&got.results), bits(&want), "{case}: answers differ");
+            assert_eq!(got.stats.candidates, want_stats.candidates, "{case}");
+            assert_eq!(got.stats.candidate_intervals, want_stats.candidate_intervals, "{case}");
+            assert_eq!(got.stats.points_fetched, want_stats.points_fetched, "{case}");
+            assert!(
+                batch.stats.work_items >= want_stats.candidate_intervals + 3,
+                "{case}: no interval split into 4+ ranges ({} items over {} intervals)",
+                batch.stats.work_items,
+                want_stats.candidate_intervals
+            );
+            if spec.limit.is_none() {
+                // Top-k cascade counts depend on how fast the shared
+                // threshold tightens; range-query counts cannot.
+                assert_eq!(got.stats.pruned_constraint, want_stats.pruned_constraint, "{case}");
+                assert_eq!(got.stats.pruned_lb_kim, want_stats.pruned_lb_kim, "{case}");
+                assert_eq!(got.stats.pruned_lb_keogh, want_stats.pruned_lb_keogh, "{case}");
+                assert_eq!(
+                    got.stats.full_distance_computations, want_stats.full_distance_computations,
+                    "{case}"
+                );
+            }
+        }
+    }
+    // All four in one batch: more work items than candidate intervals.
+    let exec = QueryExecutor::with_config(
+        &idx,
+        &data,
+        ExecutorConfig { threads: 2, ..ExecutorConfig::default() },
+    )
+    .unwrap();
+    let batch = exec.execute_batch(&specs).unwrap();
+    let intervals: u64 = batch.outputs.iter().map(|o| o.stats.candidate_intervals).sum();
+    assert!(batch.stats.work_items > intervals, "{:?}", batch.stats);
+    for (spec, out) in specs.iter().zip(&batch.outputs) {
+        assert_eq!(bits(&out.results), bits(&matcher.execute(spec).unwrap().0));
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! verifies candidates with **zero heap allocations**. One instance is
 //! owned per executor worker thread and threaded by `&mut` through
 //! `LbCascade::verify` → `PreparedQuery::verify_within` →
-//! `verify_interval`; it is never shared across threads.
+//! `verify_range`; it is never shared across threads.
 //!
 //! # Invariants
 //!

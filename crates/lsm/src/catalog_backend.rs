@@ -16,9 +16,9 @@
 //!   reconstructs the complete index at read time
 //!   ([`SeriesRunStore`]). A size-tiered schedule
 //!   ([`plan_compaction`]) folds contiguous same-tier runs so read
-//!   fan-in stays bounded. The `RUNS` manifest in each directory records
-//!   every *live* generation's run list; retirement deletes exactly the
-//!   run files no live generation references.
+//!   fan-in stays bounded. The backend tracks every *live* generation's
+//!   run list in memory; retirement deletes exactly the run files no
+//!   live generation references.
 //! * `series.conf` — one line per registered series recording its index
 //!   configuration (float fields as exact bit patterns), rewritten
 //!   atomically on every
@@ -31,13 +31,14 @@
 //! ## Crash safety
 //!
 //! Index runs are *derived* data: every row is rebuildable from the
-//! fsynced `points/` WAL. [`LsmCatalogBackend::open`] therefore wipes
-//! `series-*` (and legacy `index-*`) directories wholesale — a crash in
-//! any window of the seal → manifest-update → retire sequence (stray
-//! sealed run, manifest naming runs that were about to be retired, torn
-//! `RUNS` file) recovers to the same state as a clean shutdown: the
-//! next materialization rebuilds from replayed points, bit-identical to
-//! an in-order rebuild.
+//! `points/` WAL. [`LsmCatalogBackend::open`] therefore wipes `series-*`
+//! (and legacy `index-*`) directories wholesale — a crash in any window
+//! of the seal → retire sequence (stray sealed run, superseded runs that
+//! were about to be retired) recovers to the same state as a clean
+//! shutdown: the next materialization rebuilds from replayed points,
+//! bit-identical to an in-order rebuild. Directories left by earlier
+//! layouts may still hold a `RUNS` manifest file; the wipe removes it
+//! with the rest, and nothing writes one any more.
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -53,9 +54,6 @@ use crate::sstable::{TableBuilder, TableReader};
 
 /// File recording every registered series' index configuration.
 const SERIES_CONF: &str = "series.conf";
-
-/// Per-series-directory manifest of live generations and their runs.
-const RUNS_MANIFEST: &str = "RUNS";
 
 /// Runs sharing a size tier fold once this many sit adjacent.
 const DEFAULT_COMPACTION_FANOUT: usize = 4;
@@ -105,24 +103,6 @@ impl SeriesRunState {
         }
         let meta = table.finish()?;
         runs.splice(span, [RunMeta { name, entries: meta.entries, bytes: meta.file_bytes }]);
-        Ok(())
-    }
-
-    /// Atomically rewrites this series' `RUNS` manifest (same
-    /// temp + fsync + rename + dir-fsync discipline as `series.conf`).
-    fn write_manifest(&self) -> Result<(), StorageError> {
-        use std::io::Write;
-        let mut out = format!("next_run={}\n", self.next_run);
-        for (generation, names) in &self.generations {
-            out.push_str(&format!("generation={generation} runs={}\n", names.join(",")));
-        }
-        let tmp = self.dir.join(format!("{RUNS_MANIFEST}.tmp"));
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(out.as_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, self.dir.join(RUNS_MANIFEST))?;
-        std::fs::File::open(&self.dir)?.sync_all()?;
         Ok(())
     }
 }
@@ -185,9 +165,10 @@ impl LsmCatalogBackend {
     /// Atomically and durably rewrites `series.conf`: write-to-temp,
     /// fsync the temp file, rename, fsync the directory — so a crash at
     /// any point leaves either the previous manifest or the new one, and
-    /// a manifest entry is never *less* durable than the fsynced points
-    /// WAL it describes (otherwise a power loss could strand durable
-    /// points behind a missing series registration).
+    /// a manifest entry is never *less* durable than the points WAL it
+    /// describes, even when that WAL is fsynced (`LsmOptions::sync_wal`;
+    /// otherwise a power loss could strand durable points behind a
+    /// missing series registration).
     fn write_series_configs(&self) -> Result<(), StorageError> {
         use std::io::Write;
         let mut out = String::new();
@@ -391,10 +372,9 @@ impl CatalogBackend for LsmCatalogBackend {
             self.maintenance.compactions += 1;
         }
 
-        // 4. Record the generation and publish the manifest.
+        // 4. Record the generation.
         state.current = runs.clone();
         state.generations.insert(input.generation, runs.iter().map(|r| r.name.clone()).collect());
-        state.write_manifest()?;
 
         let paths: Vec<PathBuf> = runs.iter().map(|r| state.dir.join(&r.name)).collect();
         // Live rows of the sealed generation: every index row + meta.
@@ -422,7 +402,6 @@ impl CatalogBackend for LsmCatalogBackend {
                 std::fs::remove_file(entry.path()).map_err(StorageError::from)?;
             }
         }
-        state.write_manifest()?;
         self.maintenance.generations_retired += 1;
         Ok(())
     }
@@ -668,12 +647,11 @@ mod tests {
         assert_eq!(cat.series_len(a), Some(xa.len() + more.len()));
     }
 
-    /// Satellite: crash/restart mid-compaction. A process can die in any
-    /// window of the seal → manifest-update → retire sequence; whichever
-    /// leftovers it strands (a freshly sealed run no manifest names, a
-    /// manifest naming runs that were about to be retired, a torn `RUNS`
-    /// file), recovery must serve answers bit-identical to an in-order
-    /// rebuild over the same points.
+    /// Crash/restart mid-compaction. A process can die in any window of
+    /// the seal → retire sequence; whichever leftovers it strands (a
+    /// freshly sealed run no live generation names, superseded runs that
+    /// were about to be retired), recovery must serve answers
+    /// bit-identical to an in-order rebuild over the same points.
     #[test]
     fn recovery_is_bit_identical_across_mid_compaction_crash_points() {
         let id = SeriesId::new(5);
@@ -696,25 +674,19 @@ mod tests {
         type Sabotage = Box<dyn Fn(&Path)>;
         let scenarios: Vec<(&str, Sabotage)> = vec![
             (
-                "crash after run-seal, before manifest update",
+                "crash mid run-seal",
                 Box::new(|dir: &Path| {
-                    // A stray sealed run no manifest names.
+                    // A stray, torn run no live generation names.
                     std::fs::write(dir.join("run-999999.sst"), b"torn half-written run").unwrap();
                 }),
             ),
             (
-                "crash after manifest update, before retirement",
+                "crash after sealing, before retirement",
                 Box::new(|dir: &Path| {
                     // Retirement never ran: superseded runs linger on
-                    // disk alongside the manifest that no longer needs
-                    // them. Fabricate one such orphan.
+                    // disk that no live generation needs. Fabricate one
+                    // such orphan.
                     std::fs::write(dir.join("run-000000.sst.orphan"), b"").unwrap();
-                }),
-            ),
-            (
-                "crash mid manifest rewrite (torn RUNS file)",
-                Box::new(|dir: &Path| {
-                    std::fs::write(dir.join(RUNS_MANIFEST), b"next_run=").unwrap();
                 }),
             ),
         ];
@@ -727,7 +699,7 @@ mod tests {
                 cat.create_series(id, IndexBuildConfig::new(25)).unwrap();
                 for chunk in &chunks {
                     cat.append(id, chunk).unwrap();
-                    cat.materialize().unwrap(); // seals runs + manifest
+                    cat.materialize().unwrap(); // seals runs, retires superseded
                 }
                 let sdir = cat.backend().series_dir(id);
                 sabotage(&sdir);
@@ -811,20 +783,10 @@ mod tests {
         cat.materialize().unwrap();
         let back = cat.backend();
         assert_eq!(back.live_generations(id).len(), 1, "only the live generation remains");
-        let live: std::collections::BTreeSet<String> = {
-            let mut s = std::collections::BTreeSet::new();
-            // All on-disk run files must be referenced by the manifest.
-            let manifest = std::fs::read_to_string(back.series_dir(id).join(RUNS_MANIFEST))
-                .expect("RUNS manifest exists");
-            for line in manifest.lines() {
-                if let Some(rest) = line.split("runs=").nth(1) {
-                    for name in rest.split(',') {
-                        s.insert(name.trim().to_string());
-                    }
-                }
-            }
-            s
-        };
+        // Every on-disk run file must belong to a live generation.
+        let live: std::collections::BTreeSet<String> =
+            back.series_state[&id.raw()].generations.values().flatten().cloned().collect();
+        assert!(!live.is_empty(), "the live generation has runs");
         let on_disk: std::collections::BTreeSet<String> =
             back.run_files_on_disk(id).unwrap().into_iter().collect();
         assert_eq!(on_disk, live, "orphan run files survived retirement");

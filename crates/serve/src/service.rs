@@ -540,8 +540,13 @@ pub struct AppendHandle {
 }
 
 impl AppendHandle {
-    /// Blocks until the append was applied (durably, for durable
-    /// backends) or failed.
+    /// Blocks until the append was applied or failed. An `Ok` ack means
+    /// the points are queryable and the backend's durability hook has
+    /// returned. For the LSM backend that hook writes the points' WAL
+    /// record to the file before the ack, so an acked append survives a
+    /// process crash; the record is fsynced only when
+    /// `LsmOptions::sync_wal` is set (off by default), so without it a
+    /// power loss can drop the most recently acked appends.
     pub fn wait(self) -> Result<(), ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::ShutDown))
     }

@@ -2,15 +2,22 @@
 //! deadline expiry, error isolation, deterministic backpressure, ordered
 //! appends and graceful shutdown.
 
+mod common;
+
+use std::sync::Arc;
 use std::time::Duration;
 
+use kvmatch_core::catalog::{CatalogBackend, GenerationInput};
 use kvmatch_core::{
-    Catalog, IndexAppender, IndexBuildConfig, KvMatcher, MemoryCatalogBackend, QuerySpec, SeriesId,
+    Catalog, CoreError, IndexAppender, IndexBuildConfig, KvMatcher, MemoryCatalogBackend,
+    QuerySpec, SeriesId,
 };
 use kvmatch_serve::{QueryKind, QueryRequest, QueryService, ServeError, Submit};
 use kvmatch_storage::memory::MemoryKvStoreBuilder;
-use kvmatch_storage::MemorySeriesStore;
+use kvmatch_storage::{IoStats, MemorySeriesStore, SeriesStore};
 use kvmatch_timeseries::generator::composite_series;
+
+use common::Gate;
 
 fn catalog_with(series: &[(SeriesId, Vec<f64>)]) -> Catalog<MemoryCatalogBackend> {
     let mut cat = Catalog::new(MemoryCatalogBackend);
@@ -127,34 +134,81 @@ fn bad_request_does_not_fail_its_batchmates() {
     service.shutdown();
 }
 
+/// A volatile backend whose data stores park a fetch at the gate — it
+/// holds an executor worker mid-verification for as long as a test needs.
+struct FetchGatedBackend {
+    inner: MemoryCatalogBackend,
+    gate: Arc<Gate>,
+}
+
+struct GatedSeries {
+    inner: MemorySeriesStore,
+    gate: Arc<Gate>,
+}
+
+impl SeriesStore for GatedSeries {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn fetch(&self, offset: usize, len: usize) -> kvmatch_storage::Result<Vec<f64>> {
+        self.gate.enter();
+        self.inner.fetch(offset, len)
+    }
+
+    fn io_stats(&self) -> IoStats {
+        self.inner.io_stats()
+    }
+}
+
+impl CatalogBackend for FetchGatedBackend {
+    type Store = <MemoryCatalogBackend as CatalogBackend>::Store;
+    type Data = GatedSeries;
+
+    fn seal_generation(&mut self, input: GenerationInput<'_>) -> Result<Self::Store, CoreError> {
+        self.inner.seal_generation(input)
+    }
+
+    fn data_store(&mut self, series: SeriesId, xs: &[f64]) -> Result<Self::Data, CoreError> {
+        let inner = self.inner.data_store(series, xs)?;
+        Ok(GatedSeries { inner, gate: Arc::clone(&self.gate) })
+    }
+}
+
 #[test]
 fn full_queue_rejects_with_backpressure() {
     let id = SeriesId::new(1);
     let xs = composite_series(41, 12_000);
-    // One worker, so the pipeline serializes: while the heavy query
+    let gate = Arc::new(Gate::default());
+    let mut catalog =
+        Catalog::new(FetchGatedBackend { inner: MemoryCatalogBackend, gate: Arc::clone(&gate) });
+    catalog.create_series_with(id, IndexBuildConfig::new(50), &xs).unwrap();
+    // One worker, so the pipeline serializes: while the held query
     // executes, the front scheduler holds at most one further shard in
     // hand (blocked at the rendezvous hand-off waiting for the busy
     // worker) — everything behind it stays in the bounded queue.
-    let service = QueryService::builder(catalog_with(&[(id, xs.clone())]))
+    let service = QueryService::builder(catalog)
         .queue_capacity(2)
         .max_batch(1)
         .max_batch_delay(Duration::ZERO)
         .workers(1)
         .build()
         .expect("valid topology");
-    // A verification-heavy query keeps the only worker busy while the
-    // queue fills behind it.
+    // A query parked at the gate in its first fetch keeps the only
+    // worker busy while the queue fills behind it.
+    gate.arm();
     let heavy = QueryRequest::range(
         QuerySpec::rsm_dtw(xs[1_000..1_300].to_vec(), f64::INFINITY, 8).with_series(id),
     );
     let h_heavy = service.submit(heavy).into_result().expect("submission accepted");
-    // Let the scheduler hand it to the worker.
-    std::thread::sleep(Duration::from_millis(100));
+    gate.wait_until_parked();
     let quick =
         || QueryRequest::range(QuerySpec::rsm_ed(xs[100..300].to_vec(), 1e-6).with_series(id));
     // q1 is drained into the next shard, which blocks at the hand-off.
     let q1 = service.submit(quick()).into_result().expect("submission accepted");
-    std::thread::sleep(Duration::from_millis(50));
+    while service.metrics().queue_depth > 0 {
+        std::thread::yield_now();
+    }
     // q2 + q3 now fill the 2-slot queue behind the blocked scheduler:
     // admission control must reject, handing the request back.
     let q2 = service.submit(quick()).into_result().expect("submission accepted");
@@ -193,6 +247,7 @@ fn full_queue_rejects_with_backpressure() {
     assert_eq!(service.metrics().rejected, 3);
     assert_eq!(service.metrics().queue_depth, 2);
     // Everything admitted is eventually served.
+    gate.release();
     assert!(h_heavy.wait().is_ok());
     assert!(q1.wait().is_ok());
     assert!(q2.wait().is_ok());

@@ -14,7 +14,9 @@
 //! * A failing backend on one shard surfaces on that shard's appends
 //!   and metrics only; the rest of the keyspace keeps serving.
 
-use std::sync::{Arc, Condvar, Mutex};
+mod common;
+
+use std::sync::Arc;
 use std::time::Duration;
 
 use kvmatch_core::catalog::{CatalogBackend, GenerationInput};
@@ -28,6 +30,8 @@ use kvmatch_serve::{
 use kvmatch_storage::memory::MemoryKvStoreBuilder;
 use kvmatch_storage::MemorySeriesStore;
 use kvmatch_timeseries::generator::composite_series;
+
+use common::Gate;
 
 const SHARDS: usize = 4;
 
@@ -240,58 +244,8 @@ fn unknown_series_fails_in_its_shard_while_batchmates_succeed() {
 #[derive(Clone)]
 struct ShardGatedBackend {
     inner: MemoryCatalogBackend,
-    gate: Arc<SealGate>,
+    gate: Arc<Gate>,
     gated: SeriesId,
-}
-
-#[derive(Default)]
-struct SealGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    armed: bool,
-    sealing: bool,
-    released: bool,
-}
-
-impl SealGate {
-    fn arm(&self) {
-        self.state.lock().unwrap().armed = true;
-    }
-
-    fn wait_until_sealing(&self) {
-        let mut s = self.state.lock().unwrap();
-        while !s.sealing {
-            s = self.cv.wait(s).unwrap();
-        }
-    }
-
-    fn is_sealing(&self) -> bool {
-        self.state.lock().unwrap().sealing
-    }
-
-    fn release(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.released = true;
-        s.armed = false;
-        self.cv.notify_all();
-    }
-
-    fn enter(&self) {
-        let mut s = self.state.lock().unwrap();
-        if !s.armed {
-            return;
-        }
-        s.sealing = true;
-        self.cv.notify_all();
-        while !s.released {
-            s = self.cv.wait(s).unwrap();
-        }
-        s.sealing = false;
-    }
 }
 
 impl CatalogBackend for ShardGatedBackend {
@@ -328,7 +282,7 @@ fn saturated_shard_rejects_with_its_id_while_others_serve() {
     let ids: Vec<SeriesId> = (1..=4).map(SeriesId::new).collect();
     let series: Vec<Vec<f64>> = (0..4).map(|i| composite_series(801 + i, 4_000)).collect();
     let gated = ids[0];
-    let gate = Arc::new(SealGate::default());
+    let gate = Arc::new(Gate::default());
     let backend = ShardGatedBackend { inner: MemoryCatalogBackend, gate: Arc::clone(&gate), gated };
     let mut catalog = Catalog::new(backend);
     for (id, xs) in ids.iter().zip(&series) {
@@ -353,7 +307,7 @@ fn saturated_shard_rejects_with_its_id_while_others_serve() {
     gate.arm();
     let tail = composite_series(899, 2_000);
     let ack = service.append(gated, tail.clone(), Duration::from_secs(10)).expect("admitted");
-    gate.wait_until_sealing();
+    gate.wait_until_parked();
 
     // Fill the gated shard's lane with queries barriered behind the
     // append until admission pushes back. The rejection names the shard.
@@ -398,7 +352,7 @@ fn saturated_shard_rejects_with_its_id_while_others_serve() {
             .expect("healthy-shard query succeeded");
         assert!(resp.results.iter().any(|r| r.offset == 700));
     }
-    assert!(gate.is_sealing(), "seal released early; the independence assertions proved nothing");
+    assert!(gate.is_parked(), "seal released early; the independence assertions proved nothing");
 
     // Release: the ack lands, the parked queries drain with post-append
     // answers, and the whole keyspace is intact on shutdown.

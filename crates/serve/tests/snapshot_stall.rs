@@ -9,7 +9,9 @@
 //! intact: the barriered query sees the appended points once the seal
 //! finally lands.
 
-use std::sync::{Arc, Condvar, Mutex};
+mod common;
+
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kvmatch_core::catalog::{CatalogBackend, GenerationInput};
@@ -18,80 +20,7 @@ use kvmatch_serve::{QueryRequest, QueryService};
 use kvmatch_storage::SeriesId;
 use kvmatch_timeseries::generator::composite_series;
 
-/// Once armed, the next `seal_generation` parks until released, and
-/// announces that it parked.
-#[derive(Default)]
-struct SealGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    armed: bool,
-    sealing: bool,
-    released: bool,
-}
-
-impl SealGate {
-    fn arm(&self) {
-        self.state.lock().unwrap().armed = true;
-    }
-
-    /// Blocks until a seal has parked at the gate.
-    fn wait_until_sealing(&self) {
-        let mut s = self.state.lock().unwrap();
-        while !s.sealing {
-            s = self.cv.wait(s).unwrap();
-        }
-    }
-
-    fn is_sealing(&self) -> bool {
-        self.state.lock().unwrap().sealing
-    }
-
-    fn release(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.released = true;
-        s.armed = false;
-        self.cv.notify_all();
-    }
-
-    /// Called from inside `seal_generation`.
-    fn enter(&self) {
-        let mut s = self.state.lock().unwrap();
-        if !s.armed {
-            return;
-        }
-        s.sealing = true;
-        self.cv.notify_all();
-        while !s.released {
-            s = self.cv.wait(s).unwrap();
-        }
-        s.sealing = false;
-    }
-}
-
-/// A volatile backend whose generation sealing can be parked on demand —
-/// a stand-in for an arbitrarily slow index build or compaction.
-struct GatedBackend {
-    inner: MemoryCatalogBackend,
-    gate: Arc<SealGate>,
-}
-
-impl CatalogBackend for GatedBackend {
-    type Store = <MemoryCatalogBackend as CatalogBackend>::Store;
-    type Data = <MemoryCatalogBackend as CatalogBackend>::Data;
-
-    fn seal_generation(&mut self, input: GenerationInput<'_>) -> Result<Self::Store, CoreError> {
-        self.gate.enter();
-        self.inner.seal_generation(input)
-    }
-
-    fn data_store(&mut self, series: SeriesId, xs: &[f64]) -> Result<Self::Data, CoreError> {
-        self.inner.data_store(series, xs)
-    }
-}
+use common::{Gate, SealGatedBackend};
 
 #[test]
 fn readers_flow_while_ingest_seals_a_generation() {
@@ -99,9 +28,8 @@ fn readers_flow_while_ingest_seals_a_generation() {
     let b = SeriesId::new(2);
     let base_a = composite_series(501, 4_000);
     let base_b = composite_series(502, 4_000);
-    let gate = Arc::new(SealGate::default());
-    let mut catalog =
-        Catalog::new(GatedBackend { inner: MemoryCatalogBackend, gate: Arc::clone(&gate) });
+    let gate = Arc::new(Gate::default());
+    let mut catalog = Catalog::new(SealGatedBackend::new(&gate));
     catalog.create_series_with(a, IndexBuildConfig::new(50), &base_a).unwrap();
     catalog.create_series_with(b, IndexBuildConfig::new(50), &base_b).unwrap();
     let service = QueryService::builder(catalog).workers(2).build().expect("valid topology");
@@ -124,7 +52,7 @@ fn readers_flow_while_ingest_seals_a_generation() {
     gate.arm();
     let tail = composite_series(503, 6_000);
     let ack = service.append(a, tail.clone(), Duration::from_secs(10)).expect("append admitted");
-    gate.wait_until_sealing();
+    gate.wait_until_parked();
 
     // While the seal is parked: queries on the *other* series, and on
     // the burst series from *before* the append (pre-append submissions
@@ -156,7 +84,7 @@ fn readers_flow_while_ingest_seals_a_generation() {
     // The load-bearing assertion: every one of those queries completed
     // while the seal was STILL parked — readers never waited for it.
     assert!(
-        gate.is_sealing(),
+        gate.is_parked(),
         "seal released early ({stall_read_time:?}); the stall assertions proved nothing"
     );
 
@@ -175,7 +103,7 @@ fn readers_flow_while_ingest_seals_a_generation() {
         Err(still_waiting) => still_waiting,
         Ok(_) => panic!("the barriered query must wait for its append, not serve stale data"),
     };
-    assert!(gate.is_sealing(), "nothing should have released the seal");
+    assert!(gate.is_parked(), "nothing should have released the seal");
 
     // Release: the ack lands Ok, and the barriered query sees the tail.
     gate.release();

@@ -7,7 +7,10 @@
 //!   query behind an append sees its points, while a query on another
 //!   series flows through the pool without waiting for ingestion.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use kvmatch_core::{
@@ -18,6 +21,8 @@ use kvmatch_serve::{QueryRequest, QueryService, Submit};
 use kvmatch_storage::memory::MemoryKvStoreBuilder;
 use kvmatch_storage::MemorySeriesStore;
 use kvmatch_timeseries::generator::composite_series;
+
+use common::{Gate, SealGatedBackend};
 
 const SUBMITTERS: usize = 8;
 const REQUESTS_PER_THREAD: usize = 24;
@@ -186,40 +191,46 @@ fn appends_barrier_own_series_while_other_series_flow() {
     let b = SeriesId::new(2);
     let base_a = composite_series(401, 4_000);
     let base_b = composite_series(402, 4_000);
-    let mut catalog = Catalog::new(MemoryCatalogBackend);
+    // Series a's ingest parks mid-seal at the gate until b's query is
+    // answered, so "b did not wait for a's ingestion" is an ordering
+    // fact, not a race against how fast the burst materializes.
+    let gate = Arc::new(Gate::default());
+    let mut catalog = Catalog::new(SealGatedBackend::new(&gate));
     catalog.create_series_with(a, IndexBuildConfig::new(50), &base_a).unwrap();
     catalog.create_series_with(b, IndexBuildConfig::new(50), &base_b).unwrap();
-    // A generous batching window so the append, the query behind it and
-    // the other-series query land in one micro-batch.
     let service = QueryService::builder(catalog)
         .max_batch_delay(Duration::from_millis(25))
         .workers(2)
         .build()
         .expect("valid topology");
+    let probe_b =
+        QueryRequest::range(QuerySpec::rsm_ed(base_b[700..900].to_vec(), 1e-9).with_series(b));
+    // Warm-up proves the startup snapshot is published before the gate
+    // arms.
+    let submit = |request| {
+        service.submit_timeout(request, Duration::from_secs(10)).into_result().expect("accepted")
+    };
+    submit(probe_b.clone()).wait().expect("warm-up served");
 
-    // A heavy ingest burst on series a...
+    // A heavy ingest burst on series a: the first append parks the
+    // ingest lane mid-seal, the other seven queue up behind it...
+    gate.arm();
     let tail: Vec<Vec<f64>> = (0..8).map(|i| composite_series(410 + i, 10_000)).collect();
-    let acks: Vec<_> = tail
-        .iter()
-        .map(|chunk| service.append(a, chunk.clone(), Duration::from_secs(10)).unwrap())
-        .collect();
+    let append = |chunk: &Vec<f64>| service.append(a, chunk.clone(), Duration::from_secs(10));
+    let mut acks = vec![append(&tail[0]).unwrap()];
+    gate.wait_until_parked();
+    acks.extend(tail[1..].iter().map(|chunk| append(chunk).unwrap()));
     // ...then a query on a (must observe every appended point) and a
     // query on b (must not wait for the ingestion).
     let last = tail.last().unwrap();
     let probe_a =
         QueryRequest::range(QuerySpec::rsm_ed(last[9_700..9_950].to_vec(), 1e-9).with_series(a));
-    let probe_b =
-        QueryRequest::range(QuerySpec::rsm_ed(base_b[700..900].to_vec(), 1e-9).with_series(b));
-    let h_a = service
-        .submit_timeout(probe_a, Duration::from_secs(10))
-        .into_result()
-        .expect("submission accepted");
-    let h_b = service
-        .submit_timeout(probe_b, Duration::from_secs(10))
-        .into_result()
-        .expect("submission accepted");
+    let h_a = submit(probe_a);
+    let h_b = submit(probe_b);
 
     let resp_b = h_b.wait().expect("series-b query served");
+    assert!(gate.is_parked(), "series-b query was answered while a's ingest was parked");
+    gate.release();
     let resp_a = h_a.wait().expect("series-a query served");
     for ack in acks {
         ack.wait().expect("append applied");
@@ -246,7 +257,7 @@ fn appends_barrier_own_series_while_other_series_flow() {
 
     let m = service.metrics();
     assert_eq!(m.appends, 8);
-    assert_eq!(m.completed, 2);
+    assert_eq!(m.completed, 3);
     assert!(m.ingest_depth_peak >= 1, "the ingest lane carried the appends");
 
     // And the handed-back catalog holds the full stream.

@@ -14,8 +14,9 @@
 //! the ingest lane holds across the wire exactly as it does in-process.
 //! Responses are also written in arrival order (FIFO — a slow query
 //! head-of-line blocks later answers on the *same* connection; other
-//! connections are unaffected). The ids still travel with every frame,
-//! so clients never depend on that ordering.
+//! connections are unaffected), but every answer already written is
+//! flushed before the writer waits on an unfinished one. The ids still
+//! travel with every frame, so clients never depend on that ordering.
 //!
 //! Backpressure is layered: the service's bounded queue rejects
 //! (`REJECTED` error frames carrying queue state) after a bounded
@@ -441,7 +442,8 @@ where
 
 /// The connection's writer: resolve each outgoing item in FIFO order,
 /// encode, write; flush when the queue runs empty (batching flushes
-/// under pipelined load).
+/// under pipelined load) and before blocking on a handle that is not
+/// ready, so written replies never wait behind unfinished work.
 fn writer_loop<B>(stream: TcpStream, out: &BoundedQueue<Outgoing>, shared: &ServerShared<B>)
 where
     B: CatalogBackend,
@@ -450,25 +452,47 @@ where
     while let Some(item) = out.pop_wait() {
         let (id, response) = match item {
             Outgoing::Ready(id, response) => (id, *response),
-            Outgoing::Query(id, handle, arrived) => match handle.wait() {
-                Ok(mut resp) => {
-                    // The server's own span: socket arrival to response
-                    // write, wrapping the service's queue/execute spans.
-                    if let Some(explain) = resp.explain.as_mut() {
-                        explain.spans.push(SpanRecord {
-                            name: "server.request".into(),
-                            depth: 0,
-                            nanos: arrived.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                        });
+            Outgoing::Query(id, handle, arrived) => {
+                let result = match handle.wait_timeout(Duration::ZERO) {
+                    Ok(result) => result,
+                    Err(pending) => {
+                        if writer.flush().is_err() {
+                            abort_outgoing(out);
+                            return;
+                        }
+                        pending.wait()
                     }
-                    (id, wire::wire_response(&resp))
+                };
+                match result {
+                    Ok(mut resp) => {
+                        // The server's own span: socket arrival to
+                        // response write, wrapping the service's
+                        // queue/execute spans.
+                        if let Some(explain) = resp.explain.as_mut() {
+                            explain.spans.push(SpanRecord {
+                                name: "server.request".into(),
+                                depth: 0,
+                                nanos: arrived.elapsed().as_nanos().min(u128::from(u64::MAX))
+                                    as u64,
+                            });
+                        }
+                        (id, wire::wire_response(&resp))
+                    }
+                    Err(err) => (id, Response::Error(wire::wire_error(&err))),
                 }
-                Err(err) => (id, Response::Error(wire::wire_error(&err))),
-            },
-            Outgoing::Append(id, handle) => match handle.wait() {
-                Ok(()) => (id, Response::Appended),
-                Err(err) => (id, Response::Error(wire::wire_error(&err))),
-            },
+            }
+            Outgoing::Append(id, handle) => {
+                // An append handle has no readiness probe: flush whatever
+                // is buffered before its (possibly long) ingest wait.
+                if !writer.buffer().is_empty() && writer.flush().is_err() {
+                    abort_outgoing(out);
+                    return;
+                }
+                match handle.wait() {
+                    Ok(()) => (id, Response::Appended),
+                    Err(err) => (id, Response::Error(wire::wire_error(&err))),
+                }
+            }
         };
         // A response too large for one frame (encode enforces MAX_FRAME)
         // degrades to an error frame the client can attribute and act on.

@@ -270,10 +270,16 @@ fn dead_pipelining_client_does_not_wedge_shutdown() {
     // fills, then its reader blocks in push_wait, then our own writes
     // stall. A full second of sustained WouldBlock means the connection
     // is wedged end to end.
+    // A nonblocking write can take part of a frame; `sent` resumes it,
+    // so the stream never carries a torn frame the server would reject.
     let mut stalled = 0u32;
+    let mut sent = 0;
     while stalled < 40 {
-        match (&raw).write(&ping) {
-            Ok(_) => stalled = 0,
+        match (&raw).write(&ping[sent..]) {
+            Ok(n) => {
+                stalled = 0;
+                sent = (sent + n) % ping.len();
+            }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 stalled += 1;
                 std::thread::sleep(Duration::from_millis(25));
